@@ -1,23 +1,23 @@
 // Kernel-regression microbenchmarks: every vertex program through every
-// edge-layout the functional engine has grown — one case per graph family
-// x algorithm x {per-edge, block-AoS, block-SoA, SoA+reuse} over shared
-// interval-block schedules.
+// dispatch path the functional engine has — one case per graph family x
+// algorithm x {per-edge, block-SoA, SoA+reuse} over shared interval-block
+// schedules.
 //
-//   per-edge   — one virtual process_edge() call per edge (the original
-//                reference path, kept as the honesty baseline)
-//   block-AoS  — process_block() over std::span<const Edge> blocks
-//   block-SoA  — process_block_soa() over the transposed src/dst/hash
-//                columns (the vectorization-friendly kernels)
+//   per-edge   — one virtual process_edge() call per edge of each
+//                block_soa() view (the scalar reference, kept as the
+//                honesty baseline)
+//   block-SoA  — one process_block_soa() call per block over the
+//                partitioning's src/dst(/weight-hash) columns
 //   SoA+reuse  — the full frontier walk (run_frontier) with per-iteration
 //                pattern reuse, i.e. what sweeps actually execute; honours
 //                --no-pattern-reuse like every other frontier consumer
 //
-// The dense layouts must produce identical iteration counts, write
-// totals and a bit-identical fingerprint of the final vertex state, and
-// the frontier walk the same fingerprint — the binary aborts otherwise,
-// so a kernel that drifts from the per-edge reference cannot time
-// anything. The headline is the geomean speedup of the SoA layouts over
-// the block-AoS kernels.
+// The dense paths must produce identical iteration counts, write totals
+// and a bit-identical fingerprint of the final vertex state, and the
+// frontier walk the same fingerprint — the binary aborts otherwise, so a
+// kernel that drifts from the per-edge reference cannot time anything.
+// The headline is the geomean speedup of the SoA paths over the per-edge
+// reference.
 //
 // Under --smoke each case still runs once (the equivalence checks stay),
 // but the reported seconds are deterministic work proxies (edges the host
@@ -100,18 +100,26 @@ const ProgramCase kPrograms[] = {
        return fingerprint(
            dynamic_cast<const GasProgram<std::uint32_t>&>(p).values());
      }},
+    {"WIDEST",
+     []() -> std::unique_ptr<VertexProgram> {
+       return std::make_unique<GasProgram<std::uint32_t>>(
+           make_widest_path_program(0));
+     },
+     [](const VertexProgram& p) {
+       return fingerprint(
+           dynamic_cast<const GasProgram<std::uint32_t>&>(p).values());
+     }},
 };
 constexpr std::size_t kNumPrograms = std::size(kPrograms);
 
-enum class Layout { kPerEdge, kBlockAos, kBlockSoa, kSoaReuse };
-constexpr Layout kLayouts[] = {Layout::kPerEdge, Layout::kBlockAos,
-                               Layout::kBlockSoa, Layout::kSoaReuse};
+enum class Layout { kPerEdge, kBlockSoa, kSoaReuse };
+constexpr Layout kLayouts[] = {Layout::kPerEdge, Layout::kBlockSoa,
+                               Layout::kSoaReuse};
 constexpr std::size_t kNumLayouts = std::size(kLayouts);
 
 const char* layout_name(Layout layout) {
   switch (layout) {
     case Layout::kPerEdge: return "per-edge";
-    case Layout::kBlockAos: return "block-AoS";
     case Layout::kBlockSoa: return "block-SoA";
     case Layout::kSoaReuse: return "SoA+reuse";
   }
@@ -145,13 +153,12 @@ RunOutcome run_layout(const Graph& g, const Partitioning& part,
     for (std::uint32_t y = 0; y < kNumIntervals; ++y) {
       for (std::uint32_t x = 0; x < kNumIntervals; ++x) {
         switch (layout) {
-          case Layout::kPerEdge:
-            for (const Edge& e : part.block(x, y))
-              out.writes += program.process_edge(e) ? 1 : 0;
+          case Layout::kPerEdge: {
+            const EdgeBlockSoA block = part.block_soa(x, y);
+            for (std::size_t i = 0; i < block.size(); ++i)
+              out.writes += program.process_edge(block.edge(i)) ? 1 : 0;
             break;
-          case Layout::kBlockAos:
-            out.writes += program.process_block(part.block(x, y));
-            break;
+          }
           case Layout::kBlockSoa:
             out.writes += program.process_block_soa(part.block_soa(x, y));
             break;
@@ -188,9 +195,9 @@ int main(int argc, char** argv) {
   // narrows over ~5 passes — the regime block-level pattern reuse
   // targets) and Barabási–Albert (heavy-tail, hub-rooted traversals that
   // converge in a burst and then coast on clean blocks). Smaller under
-  // --smoke so the determinism ctest stays quick. The SoA columns and
-  // the reuse index are forced here, outside any stopwatch — sweeps
-  // amortise them across a whole grid the same way.
+  // --smoke so the determinism ctest stays quick. The weight-hash
+  // column and the reuse index are forced here, outside any stopwatch —
+  // sweeps amortise them across a whole grid the same way.
   struct GraphCase {
     const char* label;     // table column
     std::string key;       // --json graph key
@@ -199,7 +206,7 @@ int main(int argc, char** argv) {
   };
   const auto make_case = [&](const char* label, std::string key, Graph g) {
     Partitioning part(g, kNumIntervals);
-    part.edge_columns();
+    part.edge_columns().ensure_weight_hashes();
     part.source_block_index();
     return GraphCase{label, std::move(key), std::move(g), std::move(part)};
   };
@@ -250,12 +257,12 @@ int main(int argc, char** argv) {
         return cell;
       });
 
-  // The regression gate: the three dense layouts must agree exactly —
-  // iteration count, write total and final-state fingerprint. The
-  // frontier walk is held to the fingerprint only: skipping a block
-  // forfeits that pass's in-pass propagation through it, so it may take
-  // an extra iteration (with correspondingly fewer intermediate writes)
-  // on its way to the bit-identical final state.
+  // The regression gate: the block-SoA path must agree exactly with the
+  // per-edge reference — iteration count, write total and final-state
+  // fingerprint. The frontier walk is held to the fingerprint only:
+  // skipping a block forfeits that pass's in-pass propagation through
+  // it, so it may take an extra iteration (with correspondingly fewer
+  // intermediate writes) on its way to the bit-identical final state.
   for (std::size_t g = 0; g < graphs.size(); ++g) {
     for (std::size_t a = 0; a < kNumPrograms; ++a) {
       const std::size_t base = g * cells_per_graph + a * kNumLayouts;
@@ -277,16 +284,16 @@ int main(int argc, char** argv) {
   }
 
   Table table({"graph", "algorithm", "layout", "iters", "Medges streamed",
-               "ms", "vs block-AoS"});
+               "ms", "vs per-edge"});
   std::vector<double> soa_ratios;
   std::vector<double> reuse_ratios;
   for (std::size_t g = 0; g < graphs.size(); ++g) {
     for (std::size_t a = 0; a < kNumPrograms; ++a) {
       const std::size_t base = g * cells_per_graph + a * kNumLayouts;
-      const double aos_s = cells[base + 1].seconds;  // kLayouts[1] = AoS
+      const double ref_s = cells[base].seconds;  // kLayouts[0] = per-edge
       for (std::size_t l = 0; l < kNumLayouts; ++l) {
         const Cell& cell = cells[base + l];
-        const double ratio = aos_s / cell.seconds;
+        const double ratio = ref_s / cell.seconds;
         table.add_row({graphs[g].label, kPrograms[a].label,
                        layout_name(kLayouts[l]),
                        std::to_string(cell.outcome.iterations),
@@ -324,7 +331,7 @@ int main(int argc, char** argv) {
       "engineering suite, not a paper figure: the functional engine must "
       "get faster without changing a single result");
   bench::measured_note(
-      "geomean vs block-AoS kernels: block-SoA " +
+      "geomean vs the per-edge reference: block-SoA " +
       Table::num(bench::geomean(soa_ratios), 2) + "x, SoA+reuse " +
       Table::num(bench::geomean(reuse_ratios), 2) + "x" +
       (opts.smoke ? " (smoke: work proxies, not wall clock)" : ""));

@@ -9,8 +9,9 @@
 # hyve_top, and the SIGTERM flight-record path), a docs/METRICS.md
 # drift check, a kernel-regression smoke run (bench_micro's built-in
 # layout-equivalence gate plus an end-to-end proof that pattern reuse
-# never changes a byte of sweep output), then the sweep-engine
-# concurrency tests under ThreadSanitizer.
+# never changes a byte of sweep output), the full suite in a Debug
+# build under AddressSanitizer + UndefinedBehaviorSanitizer, then the
+# sweep-engine concurrency tests under ThreadSanitizer.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -264,6 +265,14 @@ cmp "$obs_dir/exp_noreuse.jsonl" "$obs_dir/exp_noreuse_j8.jsonl" ||
   { echo "kernel-regression: reuse-off sweep differs across --jobs" >&2
     exit 1; }
 echo "kernel-regression: OK"
+
+# debug-asan: the whole suite in a Debug build (NDEBUG undefined, so the
+# debug-only contract checks and the tests gated on them run) under
+# ASan+UBSan; any UBSan report fails the test that triggered it.
+cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug -DHYVE_SANITIZE=address
+cmake --build build-asan -j
+UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+  ctest --test-dir build-asan --output-on-failure -j "$(nproc)"
 
 cmake -B build-tsan -S . -DHYVE_SANITIZE=thread
 cmake --build build-tsan -j

@@ -30,23 +30,6 @@ bool BfsProgram::process_edge(const Edge& e) {
   return false;
 }
 
-std::uint64_t BfsProgram::process_block(std::span<const Edge> edges,
-                                        std::vector<char>* changed) {
-  std::uint32_t* const dist = dist_.data();
-  std::uint64_t writes = 0;
-  for (const Edge& e : edges) {
-    if (dist[e.src] == kUnreached) continue;
-    const std::uint32_t candidate = dist[e.src] + 1;
-    if (candidate < dist[e.dst]) {
-      dist[e.dst] = candidate;
-      ++writes;
-      if (changed != nullptr) (*changed)[e.dst] = 1;
-    }
-  }
-  changed_ |= writes > 0;
-  return writes;
-}
-
 std::uint64_t BfsProgram::process_block_soa(const EdgeBlockSoA& block,
                                             std::vector<char>* changed) {
   debug_check_changed_cover(changed, block);

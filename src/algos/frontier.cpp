@@ -81,6 +81,8 @@ FrontierTrace run_frontier(const Graph& graph, VertexProgram& program,
                            const Partitioning& schedule,
                            const FrontierOptions& options) {
   program.init(graph);
+  if (program.reads_edge_weights())
+    schedule.edge_columns().ensure_weight_hashes();
   const std::uint32_t p = schedule.num_intervals();
 
   FrontierTrace trace;

@@ -51,13 +51,14 @@ GasProgram<std::uint32_t> make_widest_path_program(
     if (through > dst) return through;
     return std::nullopt;
   };
+  spec.reads_edge_weights = true;
   spec.scatter_block_soa = [max_capacity](
                                const EdgeBlockSoA& block,
                                std::uint32_t* values,
                                std::vector<char>* changed) -> std::uint64_t {
     const VertexId* const src = block.src;
     const VertexId* const dst = block.dst;
-    const std::uint64_t* const hash = block.weight_hash;
+    const std::uint64_t* const hash = block.weight_hashes();
     std::uint64_t writes = 0;
     for (std::size_t i = 0; i < block.count; ++i) {
       const std::uint32_t s = values[src[i]];

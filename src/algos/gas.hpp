@@ -54,6 +54,9 @@ class GasProgram final : public VertexProgram {
     std::function<std::uint64_t(const EdgeBlockSoA& block, Value* values,
                                 std::vector<char>* changed)>
         scatter_block_soa;
+    // Whether scatter_block_soa reads block.weight_hashes() (the
+    // program's reads_edge_weights()).
+    bool reads_edge_weights = false;
     // Stop after this many iterations even if still changing.
     std::uint32_t max_iterations = 1000;
   };
@@ -68,6 +71,9 @@ class GasProgram final : public VertexProgram {
   bool has_apply_phase() const override { return bool{spec_.apply}; }
   std::uint32_t max_iterations() const override {
     return spec_.max_iterations;
+  }
+  bool reads_edge_weights() const override {
+    return spec_.reads_edge_weights;
   }
 
   void init(const Graph& graph) override {
@@ -87,23 +93,6 @@ class GasProgram final : public VertexProgram {
     return true;
   }
 
-  std::uint64_t process_block(std::span<const Edge> edges,
-                              std::vector<char>* changed) override {
-    debug_check_changed_cover(changed, edges);
-    Value* const values = values_.data();
-    std::uint64_t writes = 0;
-    for (const Edge& e : edges) {
-      const std::optional<Value> next =
-          spec_.scatter(e, values[e.src], values[e.dst]);
-      if (!next.has_value()) continue;
-      values[e.dst] = *next;
-      ++writes;
-      if (changed != nullptr) (*changed)[e.dst] = 1;
-    }
-    changed_ |= writes > 0;
-    return writes;
-  }
-
   std::uint64_t process_block_soa(const EdgeBlockSoA& block,
                                   std::vector<char>* changed) override {
     debug_check_changed_cover(changed, block);
@@ -113,9 +102,9 @@ class GasProgram final : public VertexProgram {
       changed_ |= writes > 0;
       return writes;
     }
-    // The scatter callable takes the AoS edge, so the SoA win here is
-    // the hoisted column streams, not a tighter inner body; user
-    // programs keep their exact per-edge semantics.
+    // The scatter callable takes an Edge, so the win here is the
+    // hoisted column streams, not a tighter inner body; user programs
+    // keep their exact per-edge semantics.
     Value* const values = values_.data();
     const VertexId* const src = block.src;
     const VertexId* const dst = block.dst;

@@ -26,16 +26,6 @@ bool PageRankProgram::process_edge(const Edge& e) {
   return true;
 }
 
-std::uint64_t PageRankProgram::process_block(std::span<const Edge> edges,
-                                             std::vector<char>* changed) {
-  double* const accum = accum_.data();
-  const float* const contribution = contribution_.data();
-  for (const Edge& e : edges) accum[e.dst] += contribution[e.src];
-  if (changed != nullptr)
-    for (const Edge& e : edges) (*changed)[e.dst] = 1;
-  return edges.size();
-}
-
 std::uint64_t PageRankProgram::process_block_soa(const EdgeBlockSoA& block,
                                                  std::vector<char>* changed) {
   debug_check_changed_cover(changed, block);

@@ -53,13 +53,15 @@ FunctionalResult run_functional(const Graph& graph, VertexProgram& program,
   program.init(graph);
   FunctionalResult result;
 
-  // Structure-of-arrays hot path: the schedule's columns are transposed
-  // lazily once and shared across every run of the same partitioning;
-  // the schedule-less path streams the graph's own memoized columns.
-  // Edge order matches the AoS layout exactly, so results are pinned
-  // identical to the pre-SoA runner.
+  // Structure-of-arrays hot path: a scheduled run streams the
+  // partitioning's own columns, the schedule-less path the graph's
+  // memoized columns. Weighted programs get the weight-hash column
+  // built on first use and shared by every later run.
   std::shared_ptr<const EdgeColumns> whole_graph;
   if (schedule == nullptr) whole_graph = graph.edge_columns_shared();
+  if (program.reads_edge_weights())
+    (schedule != nullptr ? schedule->edge_columns() : *whole_graph)
+        .ensure_weight_hashes();
 
   auto run_pass = [&] {
     if (schedule != nullptr) {

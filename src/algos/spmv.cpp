@@ -31,15 +31,6 @@ bool SpmvProgram::process_edge(const Edge& e) {
   return true;
 }
 
-std::uint64_t SpmvProgram::process_block(std::span<const Edge> edges,
-                                         std::vector<char>* changed) {
-  double* const y = y_.data();
-  for (const Edge& e : edges) y[e.dst] += matrix_value(e) * input_value(e.src);
-  if (changed != nullptr)
-    for (const Edge& e : edges) (*changed)[e.dst] = 1;
-  return edges.size();
-}
-
 std::uint64_t SpmvProgram::process_block_soa(const EdgeBlockSoA& block,
                                              std::vector<char>* changed) {
   debug_check_changed_cover(changed, block);
@@ -47,10 +38,10 @@ std::uint64_t SpmvProgram::process_block_soa(const EdgeBlockSoA& block,
   const double* const x = x_.data();
   const VertexId* const src = block.src;
   const VertexId* const dst = block.dst;
-  const std::uint64_t* const hash = block.weight_hash;
-  // Two per-edge hashes of the AoS kernel (matrix entry and input
-  // value) become one modulo and one gather; the accumulation itself
-  // stays sequential to preserve the reference's FP order exactly.
+  const std::uint64_t* const hash = block.weight_hashes();
+  // The reference's two per-edge hashes (matrix entry and input value)
+  // become one modulo and one gather; the accumulation itself stays
+  // sequential to preserve the reference's FP order exactly.
   for (std::size_t i = 0; i < block.count; ++i) {
     const double a = Graph::edge_weight_from_hash(hash[i], 1024) / 1024.0;
     y[dst[i]] += a * x[src[i]];

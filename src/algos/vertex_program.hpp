@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -23,27 +22,12 @@
 
 namespace hyve {
 
-// Debug-build enforcement of the `changed` contract of process_block /
+// Debug-build enforcement of the `changed` contract of
 // process_block_soa: the vector must be indexable by every destination
 // id of the block. The kernels index it unchecked on the hot path, so a
 // short vector would corrupt memory silently; debug builds (NDEBUG
 // undefined) scan the block up front and fail loudly instead. Release
-// builds compile these to nothing.
-inline void debug_check_changed_cover(const std::vector<char>* changed,
-                                      std::span<const Edge> edges) {
-#ifndef NDEBUG
-  if (changed == nullptr) return;
-  for (const Edge& e : edges)
-    HYVE_CHECK_MSG(e.dst < changed->size(),
-                   "changed vector of size " << changed->size()
-                                             << " cannot index destination "
-                                             << e.dst);
-#else
-  (void)changed;
-  (void)edges;
-#endif
-}
-
+// builds compile this to nothing.
 inline void debug_check_changed_cover(const std::vector<char>* changed,
                                       const EdgeBlockSoA& block) {
 #ifndef NDEBUG
@@ -79,37 +63,23 @@ class VertexProgram {
   // Processes one edge; returns true iff the destination value changed.
   virtual bool process_edge(const Edge& e) = 0;
 
-  // Processes a contiguous block of edges; returns how many of them
-  // changed their destination. When `changed` is non-null it must be
-  // indexable by every destination id in `edges`; the entry of each
-  // changed destination is set to 1 (entries are never cleared — the
-  // frontier walk owns the reset). Concrete programs override this with
-  // a tight non-virtual loop — one virtual call per block instead of one
-  // per edge — and must stay result-equivalent to this per-edge
-  // reference, which the process_block equivalence tests pin for every
-  // algorithm.
-  virtual std::uint64_t process_block(std::span<const Edge> edges,
-                                      std::vector<char>* changed = nullptr) {
-    debug_check_changed_cover(changed, edges);
-    std::uint64_t writes = 0;
-    for (const Edge& e : edges) {
-      if (process_edge(e)) {
-        ++writes;
-        if (changed != nullptr) (*changed)[e.dst] = 1;
-      }
-    }
-    return writes;
-  }
+  // Whether process_block_soa reads the blocks' weight-hash column.
+  // The runners consult this once per run and build the column on
+  // demand, so unweighted programs never allocate it.
+  virtual bool reads_edge_weights() const { return false; }
 
-  // Structure-of-arrays variant of process_block: same edges, same
-  // sequential semantics, handed as contiguous src[]/dst[]/weight-hash
-  // columns (graph/edge_block_soa.hpp). Concrete programs override this
-  // with vectorization-friendly loops (hoisted column pointers,
-  // branchless candidates, precomputed weight hashes); the default
-  // reconstructs each edge and runs the pinned per-edge reference, so
-  // programs without an override stay exactly result-equivalent. The
-  // equivalence (results, write counts, changed bitmaps) is pinned per
-  // algorithm by the SoA kernel tests.
+  // Processes a contiguous block of edges, handed as src[]/dst[] (and,
+  // for reads_edge_weights() programs, weight-hash) columns
+  // (graph/edge_block_soa.hpp); returns how many of them changed their
+  // destination. When `changed` is non-null it must be indexable by
+  // every destination id in the block; the entry of each changed
+  // destination is set to 1 (entries are never cleared — the frontier
+  // walk owns the reset). Concrete programs override this with a tight
+  // non-virtual loop — one virtual call per block instead of one per
+  // edge — that must stay result-equivalent to running the per-edge
+  // process_edge reference over the block in order, which is what this
+  // default does. The equivalence (results, write counts, changed
+  // bitmaps) is pinned per algorithm by the SoA kernel tests.
   virtual std::uint64_t process_block_soa(const EdgeBlockSoA& block,
                                           std::vector<char>* changed = nullptr) {
     debug_check_changed_cover(changed, block);

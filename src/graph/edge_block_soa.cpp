@@ -1,27 +1,16 @@
 #include "graph/edge_block_soa.hpp"
 
-#include "util/check.hpp"
+#include <utility>
+
+#include "obs/host_profiler.hpp"
 
 namespace hyve {
 
-EdgeColumns::EdgeColumns(std::span<const Edge> edges) {
-  src_.resize(edges.size());
-  dst_.resize(edges.size());
-  weight_hash_.resize(edges.size());
-  VertexId* const src = src_.data();
-  VertexId* const dst = dst_.data();
-  std::uint64_t* const hash = weight_hash_.data();
-  const Edge* const in = edges.data();
-  const std::size_t n = edges.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    src[i] = in[i].src;
-    dst[i] = in[i].dst;
-  }
-  // The avalanche is pure per-element arithmetic — this is the one loop
-  // of the transpose the compiler can vectorize outright.
-#pragma omp simd
-  for (std::size_t i = 0; i < n; ++i)
-    hash[i] = Graph::edge_weight_hash(Edge{src[i], dst[i]});
+EdgeColumns::EdgeColumns(std::vector<VertexId> src, std::vector<VertexId> dst)
+    : src_(std::move(src)), dst_(std::move(dst)) {
+  HYVE_CHECK_MSG(src_.size() == dst_.size(),
+                 "edge columns differ in length: " << src_.size() << " vs "
+                                                   << dst_.size());
 }
 
 EdgeBlockSoA EdgeColumns::view(std::uint64_t offset, std::uint64_t count) const {
@@ -32,15 +21,37 @@ EdgeBlockSoA EdgeColumns::view(std::uint64_t offset, std::uint64_t count) const 
   EdgeBlockSoA block;
   block.src = src_.data() + offset;
   block.dst = dst_.data() + offset;
-  block.weight_hash = weight_hash_.data() + offset;
+  if (const auto* hash = weight_hash_ptr_.load(std::memory_order_acquire))
+    block.weight_hash = hash->data() + offset;
   block.count = static_cast<std::size_t>(count);
   return block;
 }
 
+void EdgeColumns::ensure_weight_hashes() const {
+  if (has_weight_hashes()) return;
+  const std::lock_guard<std::mutex> lock(mu_);
+  if (weight_hash_ != nullptr) return;
+  const obs::HostSpan host_span("edges.weight_hash");
+  auto column = std::make_unique<std::vector<std::uint64_t>>(src_.size());
+  std::uint64_t* const hash = column->data();
+  const VertexId* const src = src_.data();
+  const VertexId* const dst = dst_.data();
+  const std::size_t n = src_.size();
+  // Pure per-element arithmetic — the compiler vectorizes it outright.
+#pragma omp simd
+  for (std::size_t i = 0; i < n; ++i)
+    hash[i] = Graph::edge_weight_hash(Edge{src[i], dst[i]});
+  weight_hash_ = std::move(column);
+  weight_hash_ptr_.store(weight_hash_.get(), std::memory_order_release);
+}
+
 std::size_t EdgeColumns::approx_bytes() const {
-  return sizeof(EdgeColumns) + src_.capacity() * sizeof(VertexId) +
-         dst_.capacity() * sizeof(VertexId) +
-         weight_hash_.capacity() * sizeof(std::uint64_t);
+  std::size_t bytes = sizeof(EdgeColumns) +
+                      src_.capacity() * sizeof(VertexId) +
+                      dst_.capacity() * sizeof(VertexId);
+  if (const auto* hash = weight_hash_ptr_.load(std::memory_order_acquire))
+    bytes += hash->capacity() * sizeof(std::uint64_t);
+  return bytes;
 }
 
 }  // namespace hyve

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <mutex>
 #include <numeric>
-#include <span>
 #include <utility>
 
 #include "graph/edge_block_soa.hpp"
@@ -106,10 +105,18 @@ std::shared_ptr<const EdgeColumns> Graph::edge_columns_shared() const {
     memo = remap_memo_;
   }
   // Build under the memo lock so concurrent first callers share one
-  // O(E) transpose (same policy as the remap images above).
+  // O(E) split (same policy as the remap images above).
   const std::lock_guard<std::mutex> lock(memo->mu);
-  if (memo->columns == nullptr)
-    memo->columns = std::make_shared<const EdgeColumns>(std::span(edges_));
+  if (memo->columns == nullptr) {
+    std::vector<VertexId> src(edges_.size());
+    std::vector<VertexId> dst(edges_.size());
+    for (std::size_t i = 0; i < edges_.size(); ++i) {
+      src[i] = edges_[i].src;
+      dst[i] = edges_[i].dst;
+    }
+    memo->columns =
+        std::make_shared<const EdgeColumns>(std::move(src), std::move(dst));
+  }
   return memo->columns;
 }
 

@@ -72,8 +72,9 @@ class Graph {
 
   // Structure-of-arrays image of edges() (edge_block_soa.hpp), built
   // lazily on first use and memoized like the remap images: copies of
-  // this graph share one transpose. The schedule-less run_functional
-  // path streams it; scheduled runs use Partitioning::edge_columns()
+  // this graph share one image, weight-hash column included once a
+  // weighted program builds it. The schedule-less run_functional path
+  // streams it; scheduled runs stream Partitioning::edge_columns()
   // instead. Thread-safe.
   std::shared_ptr<const EdgeColumns> edge_columns_shared() const;
 

@@ -88,7 +88,8 @@ Partitioning::Partitioning(const GraphSource& source, VertexMap map)
                                       << source.num_vertices());
 
   // Counting sort of edges by block index: one streamed pass to count,
-  // one to place. Only the grouped output vector is ever resident.
+  // one to place each endpoint straight into its column. Only the
+  // grouped columns are ever resident.
   const std::uint64_t blocks = num_blocks();
   offsets_.assign(blocks + 1, 0);
   source.for_each_chunk([&](std::span<const Edge> chunk) {
@@ -97,13 +98,18 @@ Partitioning::Partitioning(const GraphSource& source, VertexMap map)
   });
   for (std::uint64_t b = 0; b < blocks; ++b) offsets_[b + 1] += offsets_[b];
 
-  edges_.resize(source.num_edges());
+  std::vector<VertexId> src(source.num_edges());
+  std::vector<VertexId> dst(source.num_edges());
   std::vector<std::uint64_t> cursor(offsets_.begin(), offsets_.end() - 1);
   source.for_each_chunk([&](std::span<const Edge> chunk) {
-    for (const Edge& e : chunk)
-      edges_[cursor[block_index(interval_of(e.src), interval_of(e.dst))]++] =
-          e;
+    for (const Edge& e : chunk) {
+      const std::uint64_t i =
+          cursor[block_index(interval_of(e.src), interval_of(e.dst))]++;
+      src[i] = e.src;
+      dst[i] = e.dst;
+    }
   });
+  columns_ = std::make_shared<const EdgeColumns>(std::move(src), std::move(dst));
 }
 
 namespace {
@@ -121,13 +127,6 @@ VertexMap checked_uniform_map(const Graph& g, std::uint32_t num_intervals) {
 Partitioning::Partitioning(const Graph& g, std::uint32_t num_intervals)
     : Partitioning(g, checked_uniform_map(g, num_intervals)) {}
 
-std::span<const Edge> Partitioning::block(std::uint32_t x,
-                                          std::uint32_t y) const {
-  HYVE_CHECK(x < num_intervals() && y < num_intervals());
-  const std::uint64_t b = block_index(x, y);
-  return {edges_.data() + offsets_[b], edges_.data() + offsets_[b + 1]};
-}
-
 std::uint64_t Partitioning::block_edge_count(std::uint32_t x,
                                              std::uint32_t y) const {
   HYVE_CHECK(x < num_intervals() && y < num_intervals());
@@ -142,27 +141,10 @@ std::uint64_t Partitioning::non_empty_blocks() const {
   return count;
 }
 
-const EdgeColumns& Partitioning::edge_columns() const {
-  // Hot path: block_soa() lands here once per block per pass, so a
-  // published transpose is one acquire load away. First callers (sweep
-  // workers racing into the same cached partitioning) serialise on the
-  // lock and share one transpose, published with a release store.
-  if (const EdgeColumns* columns =
-          lazy_->columns_ptr.load(std::memory_order_acquire))
-    return *columns;
-  const std::lock_guard<std::mutex> lock(lazy_->mu);
-  if (lazy_->columns == nullptr) {
-    const obs::HostSpan host_span("partition.soa_transpose");
-    lazy_->columns = std::make_shared<const EdgeColumns>(std::span(edges_));
-    lazy_->columns_ptr.store(lazy_->columns.get(), std::memory_order_release);
-  }
-  return *lazy_->columns;
-}
-
 EdgeBlockSoA Partitioning::block_soa(std::uint32_t x, std::uint32_t y) const {
   HYVE_CHECK(x < num_intervals() && y < num_intervals());
   const std::uint64_t b = block_index(x, y);
-  return edge_columns().view(offsets_[b], offsets_[b + 1] - offsets_[b]);
+  return columns_->view(offsets_[b], offsets_[b + 1] - offsets_[b]);
 }
 
 const SourceBlockIndex& Partitioning::source_block_index() const {
@@ -180,10 +162,11 @@ const SourceBlockIndex& Partitioning::source_block_index() const {
     // then place — and block-major order makes every row sorted by y.
     const std::uint64_t no_block = ~std::uint64_t{0};
     std::vector<std::uint64_t> stamp(map_.num_vertices(), no_block);
+    const VertexId* const sources = columns_->sources().data();
     index->offsets.assign(map_.num_vertices() + std::size_t{1}, 0);
     for (std::uint64_t b = 0; b < num_blocks(); ++b) {
       for (std::uint64_t i = offsets_[b]; i < offsets_[b + 1]; ++i) {
-        const VertexId src = edges_[i].src;
+        const VertexId src = sources[i];
         if (stamp[src] == b) continue;
         stamp[src] = b;
         ++index->offsets[src + 1];
@@ -199,7 +182,7 @@ const SourceBlockIndex& Partitioning::source_block_index() const {
     for (std::uint64_t b = 0; b < num_blocks(); ++b) {
       const auto y = static_cast<std::uint32_t>(b % p);
       for (std::uint64_t i = offsets_[b]; i < offsets_[b + 1]; ++i) {
-        const VertexId src = edges_[i].src;
+        const VertexId src = sources[i];
         if (stamp[src] == b) continue;
         stamp[src] = b;
         index->intervals[cursor[src]++] = y;
@@ -211,10 +194,39 @@ const SourceBlockIndex& Partitioning::source_block_index() const {
   return *lazy_->index;
 }
 
-std::size_t Partitioning::lazy_bytes() const {
+double Partitioning::replication_factor() const {
   const std::lock_guard<std::mutex> lock(lazy_->mu);
-  std::size_t bytes = 0;
-  if (lazy_->columns != nullptr) bytes += lazy_->columns->approx_bytes();
+  if (!lazy_->replication_factor.has_value()) {
+    // One pass over the block-major columns with a per-vertex last-block
+    // stamp: each (vertex, block) incidence counts once.
+    const VertexId* const src = columns_->sources().data();
+    const VertexId* const dst = columns_->destinations().data();
+    std::vector<std::uint64_t> last_block(map_.num_vertices(), 0);
+    std::uint64_t copies = 0;
+    std::uint64_t touched = 0;
+    for (std::uint64_t b = 0; b < num_blocks(); ++b) {
+      const std::uint64_t stamp = b + 1;  // 0 = untouched
+      for (std::uint64_t i = offsets_[b]; i < offsets_[b + 1]; ++i) {
+        for (const VertexId endpoint : {src[i], dst[i]}) {
+          if (last_block[endpoint] == 0) ++touched;
+          if (last_block[endpoint] != stamp) {
+            last_block[endpoint] = stamp;
+            ++copies;
+          }
+        }
+      }
+    }
+    lazy_->replication_factor =
+        touched == 0 ? 0.0
+                     : static_cast<double>(copies) /
+                           static_cast<double>(touched);
+  }
+  return *lazy_->replication_factor;
+}
+
+std::size_t Partitioning::lazy_bytes() const {
+  std::size_t bytes = columns_->approx_bytes();
+  const std::lock_guard<std::mutex> lock(lazy_->mu);
   if (lazy_->index != nullptr) bytes += lazy_->index->approx_bytes();
   return bytes;
 }

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -121,7 +122,7 @@ class Partitioning {
 
   std::uint32_t num_intervals() const { return map_.num_intervals(); }
   VertexId num_vertices() const { return map_.num_vertices(); }
-  std::uint64_t num_edges() const { return edges_.size(); }
+  std::uint64_t num_edges() const { return columns_->size(); }
   std::uint64_t num_blocks() const {
     return static_cast<std::uint64_t>(num_intervals()) * num_intervals();
   }
@@ -143,45 +144,47 @@ class Partitioning {
     return map_.interval_end(i);
   }
 
-  // Edges of block B[x][y] (source interval x, destination interval y).
-  std::span<const Edge> block(std::uint32_t x, std::uint32_t y) const;
   std::uint64_t block_edge_count(std::uint32_t x, std::uint32_t y) const;
 
   // Number of blocks that contain at least one edge.
   std::uint64_t non_empty_blocks() const;
 
-  // All edges, grouped contiguously in block-major (x, then y) order.
-  const std::vector<Edge>& grouped_edges() const { return edges_; }
+  // The partitioning's one edge image: every edge as src/dst columns,
+  // grouped contiguously in block-major (x, then y) order, placed there
+  // by the counting sort. Shared by copies of this partitioning; the
+  // weight-hash column is built on demand (ensure_weight_hashes()).
+  const EdgeColumns& edge_columns() const { return *columns_; }
 
-  // Structure-of-arrays image of grouped_edges(), transposed lazily on
-  // first use and shared by copies of this partitioning, so one graph
-  // image pays the O(E) transpose once per schedule no matter how many
-  // sweep cells stream it. Valid for this partitioning's lifetime.
-  // Thread-safe.
-  const EdgeColumns& edge_columns() const;
-
-  // SoA view of block B[x][y] — same edges, same order as block(x, y).
+  // View of block B[x][y] (source interval x, destination interval y).
   EdgeBlockSoA block_soa(std::uint32_t x, std::uint32_t y) const;
 
-  // Lazily built, shared and thread-safe like edge_columns().
+  // Per-iteration pattern reuse's dirty-propagation map. Built lazily
+  // on first use and shared by copies, so one graph image pays the
+  // O(V + E) build once per schedule no matter how many sweep cells
+  // stream it. Thread-safe.
   const SourceBlockIndex& source_block_index() const;
 
-  // Bytes of the lazily built SoA/index images currently resident (0
-  // before first use) — PartitionCache adds this to its accounting.
+  // Distinct blocks each vertex appears in as an endpoint, averaged
+  // over vertices with at least one edge (PartitionStats'
+  // replication_factor). The O(V + E) pass runs once and is shared by
+  // copies, so every machine config that accounts over this schedule
+  // reuses it. Thread-safe.
+  double replication_factor() const;
+
+  // Bytes of the edge image currently resident: the src/dst columns,
+  // plus the weight-hash column and the source-block index once built.
   std::size_t lazy_bytes() const;
 
  private:
-  // Lazily built derived images, shared across copies (the grouped edge
-  // layout they derive from is identical in every copy). Built once
-  // under `mu`; the atomics publish the finished images so the per-block
-  // hot paths (block_soa in every functional pass) cost one acquire
+  // Lazily derived images, shared across copies (the columns they
+  // derive from are shared too). Built once under `mu`; the atomic
+  // publishes the finished index so later lookups cost one acquire
   // load instead of a mutex round trip.
   struct Lazy {
     std::mutex mu;
-    std::shared_ptr<const EdgeColumns> columns;
     std::shared_ptr<const SourceBlockIndex> index;
-    std::atomic<const EdgeColumns*> columns_ptr{nullptr};
     std::atomic<const SourceBlockIndex*> index_ptr{nullptr};
+    std::optional<double> replication_factor;
   };
 
   std::uint64_t block_index(std::uint32_t x, std::uint32_t y) const {
@@ -189,8 +192,8 @@ class Partitioning {
   }
 
   VertexMap map_;
-  std::vector<Edge> edges_;
-  std::vector<std::uint64_t> offsets_;  // P*P + 1 prefix sums into edges_
+  std::vector<std::uint64_t> offsets_;  // P*P + 1 prefix sums into columns_
+  std::shared_ptr<const EdgeColumns> columns_;
   std::shared_ptr<Lazy> lazy_ = std::make_shared<Lazy>();
 };
 

@@ -436,34 +436,13 @@ PartitionStats compute_partition_stats(const Partitioning& schedule,
       static_cast<double>(non_empty) /
       static_cast<double>(schedule.num_blocks());
 
-  // Replication: distinct blocks each vertex appears in as an endpoint,
-  // averaged over vertices with at least one edge. One pass over the
-  // grouped (block-major) edge array with a per-vertex last-block stamp.
-  std::vector<std::uint64_t> last_block(v, 0);
-  std::uint64_t copies = 0;
-  std::uint64_t touched = 0;
+  // The O(E) replication pass is memoised on the schedule; the PU
+  // split only needs the block edge counts, O(P^2) per machine config.
+  stats.replication_factor = schedule.replication_factor();
   std::uint64_t remote = 0;
-  for (std::uint32_t x = 0; x < p; ++x) {
-    for (std::uint32_t y = 0; y < p; ++y) {
-      const auto edges = schedule.block(x, y);
-      if (edges.empty()) continue;
-      const std::uint64_t stamp =
-          static_cast<std::uint64_t>(x) * p + y + 1;  // 0 = untouched
-      for (const Edge& edge : edges) {
-        for (const VertexId endpoint : {edge.src, edge.dst}) {
-          if (last_block[endpoint] == 0) ++touched;
-          if (last_block[endpoint] != stamp) {
-            last_block[endpoint] = stamp;
-            ++copies;
-          }
-        }
-      }
-      if (x % n != y % n) remote += edges.size();
-    }
-  }
-  stats.replication_factor =
-      touched == 0 ? 0.0
-                   : static_cast<double>(copies) / static_cast<double>(touched);
+  for (std::uint32_t x = 0; x < p; ++x)
+    for (std::uint32_t y = 0; y < p; ++y)
+      if (x % n != y % n) remote += schedule.block_edge_count(x, y);
   stats.remote_edge_fraction =
       e == 0 ? 0.0 : static_cast<double>(remote) / static_cast<double>(e);
 

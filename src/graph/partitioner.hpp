@@ -101,8 +101,9 @@ struct PartitionStats {
   double bank_wake_fraction = 0;   // non-empty blocks / total blocks
 };
 
-// O(V + E) over the grouped edge array. `num_pus` is the machine's N
-// (interval i lives on PU i % N, matching the accounting walk).
+// O(P^2) per call on top of the schedule's memoised O(V + E)
+// replication pass. `num_pus` is the machine's N (interval i lives on
+// PU i % N, matching the accounting walk).
 PartitionStats compute_partition_stats(const Partitioning& schedule,
                                        int num_pus);
 

@@ -175,10 +175,15 @@ TEST_F(BlockedIoTest, StreamedPartitioningMatchesInMemory) {
   ASSERT_EQ(streamed.num_edges(), in_memory.num_edges());
   for (std::uint32_t x = 0; x < 8; ++x)
     for (std::uint32_t y = 0; y < 8; ++y) {
-      const auto a = in_memory.block(x, y);
-      const auto b = streamed.block(x, y);
-      ASSERT_EQ(std::vector<Edge>(a.begin(), a.end()),
-                std::vector<Edge>(b.begin(), b.end()))
+      const EdgeBlockSoA a = in_memory.block_soa(x, y);
+      const EdgeBlockSoA b = streamed.block_soa(x, y);
+      ASSERT_EQ(std::vector<VertexId>(a.sources().begin(), a.sources().end()),
+                std::vector<VertexId>(b.sources().begin(), b.sources().end()))
+          << "block " << x << "," << y;
+      ASSERT_EQ(std::vector<VertexId>(a.destinations().begin(),
+                                      a.destinations().end()),
+                std::vector<VertexId>(b.destinations().begin(),
+                                      b.destinations().end()))
           << "block " << x << "," << y;
     }
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <vector>
@@ -189,7 +190,9 @@ TEST(PartitionerProperty, EveryEdgeInExactlyOneBlock) {
       std::uint64_t total = 0;
       for (std::uint32_t x = 0; x < ng.p; ++x)
         for (std::uint32_t y = 0; y < ng.p; ++y) {
-          for (const Edge& e : part.block(x, y)) {
+          const EdgeBlockSoA block = part.block_soa(x, y);
+          for (std::size_t i = 0; i < block.size(); ++i) {
+            const Edge e = block.edge(i);
             EXPECT_EQ(part.interval_of(e.src), x)
                 << ng.name << " " << spec.to_string();
             EXPECT_EQ(part.interval_of(e.dst), y)
@@ -338,6 +341,83 @@ TEST(PartitionerMachine, ComputePartitionStatsMatchesHandDerivation) {
   // With 2 PUs, blocks where x % 2 != y % 2 cross PUs: B03 (1 edge),
   // B12 (2) and B30 (2) -> 5 of 11 edges.
   EXPECT_NEAR(stats.remote_edge_fraction, 5.0 / 11.0, 1e-12);
+}
+
+// Every PartitionStats field recomputed from scratch: one walk over
+// the block_soa views, no memo.
+PartitionStats brute_force_stats(const Partitioning& part, int num_pus) {
+  const std::uint32_t p = part.num_intervals();
+  const auto n = static_cast<std::uint32_t>(num_pus);
+  std::vector<std::uint64_t> last_block(part.num_vertices(), 0);
+  std::uint64_t copies = 0;
+  std::uint64_t touched = 0;
+  std::uint64_t remote = 0;
+  std::uint64_t non_empty = 0;
+  std::uint64_t edges = 0;
+  for (std::uint32_t x = 0; x < p; ++x) {
+    for (std::uint32_t y = 0; y < p; ++y) {
+      const EdgeBlockSoA block = part.block_soa(x, y);
+      if (block.empty()) continue;
+      ++non_empty;
+      edges += block.size();
+      if (x % n != y % n) remote += block.size();
+      const std::uint64_t stamp = static_cast<std::uint64_t>(x) * p + y + 1;
+      for (std::size_t i = 0; i < block.size(); ++i) {
+        for (const VertexId v : {block.src[i], block.dst[i]}) {
+          if (last_block[v] == 0) ++touched;
+          if (last_block[v] != stamp) {
+            last_block[v] = stamp;
+            ++copies;
+          }
+        }
+      }
+    }
+  }
+  VertexId max_pop = 0;
+  for (std::uint32_t i = 0; i < p; ++i)
+    max_pop = std::max(max_pop, part.interval_population(i));
+  PartitionStats stats;
+  stats.n_avg = non_empty == 0 ? 0.0 : static_cast<double>(edges) /
+                                           static_cast<double>(non_empty);
+  stats.bank_wake_fraction = static_cast<double>(non_empty) /
+                             (static_cast<double>(p) * static_cast<double>(p));
+  stats.replication_factor =
+      touched == 0 ? 0.0
+                   : static_cast<double>(copies) / static_cast<double>(touched);
+  stats.remote_edge_fraction =
+      edges == 0 ? 0.0
+                 : static_cast<double>(remote) / static_cast<double>(edges);
+  stats.interval_balance =
+      part.num_vertices() == 0
+          ? 1.0
+          : static_cast<double>(max_pop) /
+                (static_cast<double>(part.num_vertices()) /
+                 static_cast<double>(p));
+  return stats;
+}
+
+TEST(PartitionerMachine, MemoisedStatsMatchBruteForceForEveryPuCount) {
+  const Graph g = generate_rmat(3000, 20000, {}, 0x57A7);
+  for (const char* text : {"interval", "hep:tau=2", "splitmerge"}) {
+    const auto spec = parse_partitioner(text);
+    ASSERT_TRUE(spec.has_value()) << text;
+    const Partitioning part = make_partitioner(*spec)->partition(g, 12);
+    const Partitioning copy = part;  // shares the memo
+    for (const int num_pus : {1, 2, 3, 8}) {
+      SCOPED_TRACE(::testing::Message() << text << " N=" << num_pus);
+      const PartitionStats want = brute_force_stats(part, num_pus);
+      // Asked twice and through a copy: the memo must serve the same
+      // bits as the first (building) call.
+      for (const Partitioning* schedule : {&part, &copy, &part}) {
+        const PartitionStats got = compute_partition_stats(*schedule, num_pus);
+        EXPECT_EQ(got.n_avg, want.n_avg);
+        EXPECT_EQ(got.replication_factor, want.replication_factor);
+        EXPECT_EQ(got.interval_balance, want.interval_balance);
+        EXPECT_EQ(got.remote_edge_fraction, want.remote_edge_fraction);
+        EXPECT_EQ(got.bank_wake_fraction, want.bank_wake_fraction);
+      }
+    }
+  }
 }
 
 // ---------- cache keying per strategy ----------

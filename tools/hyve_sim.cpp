@@ -112,14 +112,15 @@ int run_metrics_census() {
   options.jobs = 1;
   engine.run(spec, options);
 
-  // One frontier-mode run so the pattern-reuse tallies register:
-  // sim.kernel.blocks_skipped / edges_skipped.
+  // One frontier-mode run so the pattern-reuse tallies register
+  // (sim.kernel.blocks_skipped / edges_skipped), with a weighted
+  // program so the on-demand weight-hash column's span does too.
   {
     exp::SweepSpec frontier_spec;
     HyveConfig frontier_config = HyveConfig::hyve_opt();
     frontier_config.frontier_block_skipping = true;
     frontier_spec.configs = {frontier_config};
-    frontier_spec.algorithms = {Algorithm::kBfs};
+    frontier_spec.algorithms = {Algorithm::kBfs, Algorithm::kSssp};
     frontier_spec.graphs = {"census"};
     engine.run(frontier_spec, options);
   }
