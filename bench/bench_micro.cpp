@@ -9,13 +9,14 @@
 //   block-SoA  — one process_block_soa() call per block over the
 //                partitioning's src/dst(/weight-hash) columns
 //   SoA+reuse  — the full frontier walk (run_frontier) with per-iteration
-//                pattern reuse, i.e. what sweeps actually execute; honours
-//                --no-pattern-reuse like every other frontier consumer
+//                pattern reuse, i.e. what sweeps actually execute
 //
 // The dense paths must produce identical iteration counts, write totals
 // and a bit-identical fingerprint of the final vertex state, and the
 // frontier walk the same fingerprint — the binary aborts otherwise, so a
 // kernel that drifts from the per-edge reference cannot time anything.
+// It also aborts when a traversal writes no more than 1% of the
+// vertices: such a case would time skipped no-op blocks, not kernels.
 // The headline is the geomean speedup of the SoA paths over the per-edge
 // reference.
 //
@@ -32,6 +33,7 @@
 
 #include "algos/bfs.hpp"
 #include "algos/cc.hpp"
+#include "algos/frontier.hpp"
 #include "algos/gas.hpp"
 #include "algos/pagerank.hpp"
 #include "algos/spmv.hpp"
@@ -64,46 +66,60 @@ std::uint64_t fingerprint(const std::vector<T>& values) {
   return h;
 }
 
+// The vertex BfsProgram::kAutoRoot resolves to (the highest out-degree
+// one), so REACH and WIDEST start where BFS and SSSP do.
+VertexId auto_root(const Graph& g) {
+  BfsProgram bfs;
+  bfs.init(g);
+  return bfs.root();
+}
+
 struct ProgramCase {
   const char* label;
-  std::unique_ptr<VertexProgram> (*make)();
+  // Traversals run on each family's traversal image (see main), the
+  // all-vertex programs (PR, SpMV) on the graph as generated.
+  bool traversal;
+  std::unique_ptr<VertexProgram> (*make)(const Graph&);
   std::uint64_t (*state_fingerprint)(const VertexProgram&);
 };
 
 const ProgramCase kPrograms[] = {
-    {"BFS", [] { return make_program(Algorithm::kBfs); },
+    {"BFS", true, [](const Graph&) { return make_program(Algorithm::kBfs); },
      [](const VertexProgram& p) {
        return fingerprint(dynamic_cast<const BfsProgram&>(p).distances());
      }},
-    {"CC", [] { return make_program(Algorithm::kCc); },
+    {"CC", true, [](const Graph&) { return make_program(Algorithm::kCc); },
      [](const VertexProgram& p) {
        return fingerprint(dynamic_cast<const CcProgram&>(p).labels());
      }},
-    {"PR", [] { return make_program(Algorithm::kPageRank); },
+    {"PR", false,
+     [](const Graph&) { return make_program(Algorithm::kPageRank); },
      [](const VertexProgram& p) {
        return fingerprint(dynamic_cast<const PageRankProgram&>(p).ranks());
      }},
-    {"SSSP", [] { return make_program(Algorithm::kSssp); },
+    {"SSSP", true,
+     [](const Graph&) { return make_program(Algorithm::kSssp); },
      [](const VertexProgram& p) {
        return fingerprint(dynamic_cast<const SsspProgram&>(p).distances());
      }},
-    {"SpMV", [] { return make_program(Algorithm::kSpmv); },
+    {"SpMV", false,
+     [](const Graph&) { return make_program(Algorithm::kSpmv); },
      [](const VertexProgram& p) {
        return fingerprint(dynamic_cast<const SpmvProgram&>(p).result());
      }},
-    {"REACH",
-     []() -> std::unique_ptr<VertexProgram> {
+    {"REACH", true,
+     [](const Graph& g) -> std::unique_ptr<VertexProgram> {
        return std::make_unique<GasProgram<std::uint32_t>>(
-           make_reachability_program(0));
+           make_reachability_program(auto_root(g)));
      },
      [](const VertexProgram& p) {
        return fingerprint(
            dynamic_cast<const GasProgram<std::uint32_t>&>(p).values());
      }},
-    {"WIDEST",
-     []() -> std::unique_ptr<VertexProgram> {
+    {"WIDEST", true,
+     [](const Graph& g) -> std::unique_ptr<VertexProgram> {
        return std::make_unique<GasProgram<std::uint32_t>>(
-           make_widest_path_program(0));
+           make_widest_path_program(auto_root(g)));
      },
      [](const VertexProgram& p) {
        return fingerprint(
@@ -190,51 +206,57 @@ int main(int argc, char** argv) {
                 "Vertex-program kernels per edge layout (identical results "
                 "enforced)");
 
-  // Two synthetic families, one schedule each, shared by every cell:
-  // Erdős–Rényi at mean degree 6 (no hubs, a scattered frontier that
-  // narrows over ~5 passes — the regime block-level pattern reuse
-  // targets) and Barabási–Albert (heavy-tail, hub-rooted traversals that
-  // converge in a burst and then coast on clean blocks). Smaller under
-  // --smoke so the determinism ctest stays quick. The weight-hash
-  // column and the reuse index are forced here, outside any stopwatch —
-  // sweeps amortise them across a whole grid the same way.
-  struct GraphCase {
-    const char* label;     // table column
-    std::string key;       // --json graph key
+  // Two synthetic families, each with one schedule per image, shared by
+  // every cell: Erdős–Rényi at mean degree 6 (no hubs, a scattered
+  // frontier that narrows over ~5 passes — the regime block-level
+  // pattern reuse targets) and Barabási–Albert (heavy-tail, hub-rooted
+  // traversals that converge in a burst and then coast on clean
+  // blocks). BA edges point from newer to older vertices, so a
+  // traversal from the hub reaches almost nothing; traversals run on
+  // symmetrized(BA) instead. Smaller under --smoke so the determinism
+  // ctest stays quick. The weight-hash column and the reuse index are
+  // forced here, outside any stopwatch — sweeps amortise them across a
+  // whole grid the same way.
+  struct Image {
     Graph graph;
     Partitioning part;
   };
-  const auto make_case = [&](const char* label, std::string key, Graph g) {
+  struct GraphCase {
+    const char* label;  // table column
+    std::string key;    // --json graph key
+    std::shared_ptr<const Image> all;        // PR, SpMV
+    std::shared_ptr<const Image> traversal;  // BFS/CC/SSSP/REACH/WIDEST
+  };
+  const auto make_image = [](Graph g) {
     Partitioning part(g, kNumIntervals);
     part.edge_columns().ensure_weight_hashes();
     part.source_block_index();
-    return GraphCase{label, std::move(key), std::move(g), std::move(part)};
+    return std::make_shared<const Image>(Image{std::move(g), std::move(part)});
   };
+  const VertexId num_vertices = opts.smoke ? 20000 : 100000;
+  const std::string v = std::to_string(num_vertices);
+  const auto er = make_image(
+      generate_erdos_renyi(num_vertices, 3ull * num_vertices, 0xBE7C));
+  Graph ba = generate_barabasi_albert(num_vertices, 6, 0xBE7C);
+  const auto ba_sym = make_image(symmetrized(ba));
   std::vector<GraphCase> graphs;
-  graphs.push_back(
-      opts.smoke
-          ? make_case("er", "er-20000x60000",
-                      generate_erdos_renyi(20000, 60000, 0xBE7C))
-          : make_case("er", "er-100000x300000",
-                      generate_erdos_renyi(100000, 300000, 0xBE7C)));
-  graphs.push_back(
-      opts.smoke
-          ? make_case("ba", "ba-20000x6",
-                      generate_barabasi_albert(20000, 6, 0xBE7C))
-          : make_case("ba", "ba-100000x6",
-                      generate_barabasi_albert(100000, 6, 0xBE7C)));
+  graphs.push_back({"er", "er-" + v + "x" + std::to_string(3 * num_vertices),
+                    er, er});
+  graphs.push_back({"ba", "ba-" + v + "x6", make_image(std::move(ba)),
+                    ba_sym});
 
   const std::size_t cells_per_graph = kNumPrograms * kNumLayouts;
   const auto cells = bench::run_cells(
       graphs.size() * cells_per_graph, opts, [&](std::size_t i) {
         const GraphCase& gc = graphs[i / cells_per_graph];
-        const Graph& graph = gc.graph;
-        const Partitioning& part = gc.part;
         const ProgramCase& pc = kPrograms[(i % cells_per_graph) / kNumLayouts];
+        const Image& image = pc.traversal ? *gc.traversal : *gc.all;
+        const Graph& graph = image.graph;
+        const Partitioning& part = image.part;
         const Layout layout = kLayouts[i % kNumLayouts];
         Cell cell;
         if (opts.smoke) {
-          const auto program = pc.make();
+          const auto program = pc.make(graph);
           cell.outcome = run_layout(graph, part, *program, layout);
           cell.outcome.checksum = pc.state_fingerprint(*program);
           cell.seconds =
@@ -246,7 +268,7 @@ int main(int argc, char** argv) {
         cell.seconds = 1e100;
         const std::scoped_lock timing(bench::timing_mutex());
         for (int rep = 0; rep < 3; ++rep) {
-          const auto program = pc.make();
+          const auto program = pc.make(graph);
           const auto start = clock_type::now();
           cell.outcome = run_layout(graph, part, *program, layout);
           const auto stop = clock_type::now();
@@ -264,9 +286,15 @@ int main(int argc, char** argv) {
   // it, so it may take an extra iteration (with correspondingly fewer
   // intermediate writes) on its way to the bit-identical final state.
   for (std::size_t g = 0; g < graphs.size(); ++g) {
+    const std::uint64_t vertices = graphs[g].traversal->graph.num_vertices();
     for (std::size_t a = 0; a < kNumPrograms; ++a) {
       const std::size_t base = g * cells_per_graph + a * kNumLayouts;
       const RunOutcome& ref = cells[base].outcome;
+      HYVE_CHECK_MSG(!kPrograms[a].traversal || ref.writes * 100 > vertices,
+                     kPrograms[a].label << " on " << graphs[g].label
+                                        << " is degenerate: " << ref.writes
+                                        << " writes for " << vertices
+                                        << " vertices");
       for (std::size_t l = 1; l < kNumLayouts; ++l) {
         const RunOutcome& got = cells[base + l].outcome;
         const bool dense = kLayouts[l] != Layout::kSoaReuse;

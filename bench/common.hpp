@@ -33,7 +33,6 @@
 #include <utility>
 #include <vector>
 
-#include "algos/frontier.hpp"
 #include "core/bench_json.hpp"
 #include "core/machine.hpp"
 #include "exp/cache.hpp"
@@ -110,13 +109,7 @@ inline void record_report(const std::string& graph_key,
 //   --datasets YT,WK,...  restrict the dataset axis of dataset benches
 //   --partitioner SPEC    partitioning strategy for every cell
 //   --smoke               deterministic stand-ins for wall-clock timings
-//   --graph-cache-mb N    byte budget for the shared graph cache
-//   --ooc-window-mb N     decode-window budget per blocked graph reader
-//   --partition-cache N   entry cap for the shared partition cache
 //   --functional-cache    memoise functional phases across cells
-//   --functional-cache-mb N  byte budget for the functional cache
-//   --no-pattern-reuse    disable per-iteration pattern reuse in
-//                         frontier runs (identical output)
 //   --cache-stats         print cache counters to stderr after the run
 //   --metrics             dump the full metrics registry to stderr
 //   --host-profile        wall-clock spans, memory sampling and stage
@@ -151,59 +144,30 @@ struct Options {
 
   // Emits the requested telemetry. Everything goes to stderr (or the
   // --trace file) so stdout keeps the byte-identical --jobs guarantee
-  // (wall times and eviction order depend on worker scheduling). Call at
-  // the end of main().
+  // (wall times and cache hit order depend on worker scheduling). Call
+  // at the end of main().
   void finish() const {
     // Stop before the trace/report writes so host.wall_us, the rate
     // gauges, and the final memory sample land in both.
     if (host_profile) obs::host_profiler().stop();
     if (cache_stats || metrics) {
-      obs::Registry& reg = obs::registry();
-      // The instantaneous occupancy gauges are refreshed here so the
-      // dump reflects end-of-run state even if the last touch was an
-      // out-of-band eviction (set_byte_budget shrinking a live cache).
-      reg.gauge("exp.graph_cache.resident_bytes")
-          .set(static_cast<std::int64_t>(graph_cache().resident_bytes()));
-      reg.gauge("exp.graph_cache.byte_budget")
-          .set(static_cast<std::int64_t>(graph_cache().byte_budget()));
-      reg.gauge("exp.partition_cache.resident")
-          .set(static_cast<std::int64_t>(partition_cache().resident()));
-      reg.gauge("exp.functional_cache.bytes")
-          .set(static_cast<std::int64_t>(
-              bench::functional_cache().resident_bytes()));
       if (cache_stats) {
-        std::cerr << "cache stats: graphs loads="
-                  << reg.counter("exp.graph_cache.loads").value()
-                  << " evictions="
-                  << reg.counter("exp.graph_cache.evictions").value()
-                  << " resident_bytes="
-                  << reg.gauge("exp.graph_cache.resident_bytes").value()
-                  << "; partitions builds="
-                  << reg.counter("exp.partition_cache.builds").value()
-                  << " evictions="
-                  << reg.counter("exp.partition_cache.evictions").value()
-                  << " resident="
-                  << reg.gauge("exp.partition_cache.resident").value()
+        std::cerr << "cache stats: graphs loads=" << graph_cache().loads()
+                  << "; partitions builds=" << partition_cache().builds()
                   << "\n";
         for (const auto& [strategy, stats] :
              partition_cache().strategy_stats())
           std::cerr << "partition cache[" << strategy
                     << "]: hits=" << stats.hits
-                    << " builds=" << stats.builds
-                    << " evictions=" << stats.evictions << "\n";
+                    << " builds=" << stats.builds << "\n";
         if (functional_cache)
           std::cerr << "functional cache: hits="
-                    << reg.counter("exp.functional_cache.hits").value()
-                    << " misses="
-                    << reg.counter("exp.functional_cache.misses").value()
-                    << " evictions="
-                    << reg.counter("exp.functional_cache.evictions").value()
-                    << " bytes="
-                    << reg.gauge("exp.functional_cache.bytes").value()
+                    << bench::functional_cache().hits()
+                    << " misses=" << bench::functional_cache().misses()
                     << " hit_rate="
                     << bench::functional_cache().hit_rate() << "\n";
       }
-      if (metrics) reg.dump(std::cerr);
+      if (metrics) obs::registry().dump(std::cerr);
     }
     if (trace) trace->write_file(trace_path);
     if (!json_path.empty()) write_json_report();
@@ -251,7 +215,7 @@ struct Options {
   // deduplicated by (config, algorithm, graph) — run order depends on
   // worker scheduling, the reports themselves do not — and the metrics
   // rollup keeps only sim.* instruments (simulated counts; exp.* mixes
-  // in wall clock and eviction order). This is what lets the bench-json
+  // in wall clock and cache hit order). This is what lets the bench-json
   // CI step byte-diff --jobs 1 against --jobs 8.
   void write_json_report() const {
     BenchReportDoc doc;
@@ -314,7 +278,6 @@ inline Options parse_args(int argc, char** argv, const std::string& prog,
                           const std::string& summary) {
   Options opts;
   opts.bench_name = prog;
-  bool explicit_graph_budget = false;
   cli::ArgParser parser(prog, summary);
   parser.option("--jobs", "N",
                 "worker threads (0 = hardware concurrency; default 1)",
@@ -345,47 +308,10 @@ inline Options parse_args(int argc, char** argv, const std::string& prog,
               "deterministic stand-ins for wall-clock measurements "
               "(bench-smoke CI; numbers are not measurements)",
               &opts.smoke);
-  parser.option("--graph-cache-mb", "N",
-                "graph cache byte budget in MiB (0 = unbounded; default "
-                "auto-sized from available memory)",
-                [&](const std::string& v) {
-                  explicit_graph_budget = true;
-                  graph_cache().set_byte_budget(
-                      units::MiB(static_cast<std::uint64_t>(cli::parse_int(
-                          parser, "--graph-cache-mb", v, 0, 1 << 20))));
-                });
-  parser.option("--ooc-window-mb", "N",
-                "decoded-block window budget per out-of-core blocked graph "
-                "reader in MiB (0 = unbounded; default 0)",
-                [&](const std::string& v) {
-                  graph_cache().set_ooc_window_budget(
-                      units::MiB(static_cast<std::uint64_t>(cli::parse_int(
-                          parser, "--ooc-window-mb", v, 0, 1 << 20))));
-                });
-  parser.option("--partition-cache", "N",
-                "partition cache entry cap (0 = unbounded; default 0)",
-                [&](const std::string& v) {
-                  partition_cache().set_max_entries(
-                      static_cast<std::size_t>(cli::parse_int(
-                          parser, "--partition-cache", v, 0, 1 << 20)));
-                });
   parser.flag("--functional-cache",
               "memoise functional phases across cells that share a graph "
               "image, algorithm, P and frontier mode (identical output)",
               &opts.functional_cache);
-  parser.option("--functional-cache-mb", "N",
-                "functional cache byte budget in MiB (0 = unbounded; "
-                "default 0; implies --functional-cache)",
-                [&](const std::string& v) {
-                  opts.functional_cache = true;
-                  functional_cache().set_byte_budget(
-                      units::MiB(static_cast<std::uint64_t>(cli::parse_int(
-                          parser, "--functional-cache-mb", v, 0, 1 << 20))));
-                });
-  parser.flag("--no-pattern-reuse",
-              "disable per-iteration pattern reuse in frontier runs "
-              "(identical output, more host work)",
-              [&] { set_pattern_reuse_enabled(false); });
   parser.flag("--cache-stats", "print cache counters to stderr",
               &opts.cache_stats);
   parser.flag("--metrics", "dump the metrics registry to stderr",
@@ -445,20 +371,6 @@ inline Options parse_args(int argc, char** argv, const std::string& prog,
   }
   if (opts.functional_cache)
     functional_cache_if_enabled() = &functional_cache();
-  // Without --graph-cache-mb the budget is sized from the machine
-  // (fixed 256 MiB under --smoke so CI output is host-independent)
-  // instead of growing without bound. Logged to stderr — stdout keeps
-  // the byte-identical --jobs guarantee.
-  if (!explicit_graph_budget) {
-    const std::size_t budget = exp::default_graph_cache_budget(opts.smoke);
-    graph_cache().set_byte_budget(budget);
-    std::cerr << prog << ": graph cache budget auto-sized to ";
-    if (budget > 0)
-      std::cerr << budget / (1024 * 1024) << " MiB";
-    else
-      std::cerr << "unbounded (available memory unknown)";
-    std::cerr << " (override with --graph-cache-mb)\n";
-  }
   return opts;
 }
 

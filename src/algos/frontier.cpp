@@ -1,7 +1,6 @@
 #include "algos/frontier.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 
 #include "obs/live.hpp"
@@ -50,31 +49,6 @@ std::uint64_t FrontierTrace::active_blocks_in_iteration(
   HYVE_CHECK(iter < iteration_blocks.size());
   // Only non-empty blocks are stored, so the list length is the count.
   return iteration_blocks[iter].size();
-}
-
-std::size_t FrontierTrace::approx_bytes() const {
-  std::size_t bytes = sizeof(FrontierTrace);
-  for (const auto& blocks : iteration_blocks)
-    bytes += sizeof(blocks) + blocks.capacity() * sizeof(BlockCount);
-  return bytes;
-}
-
-namespace {
-std::atomic<bool> g_pattern_reuse{true};
-}  // namespace
-
-bool pattern_reuse_enabled() {
-  return g_pattern_reuse.load(std::memory_order_relaxed);
-}
-
-void set_pattern_reuse_enabled(bool on) {
-  g_pattern_reuse.store(on, std::memory_order_relaxed);
-}
-
-FrontierTrace run_frontier(const Graph& graph, VertexProgram& program,
-                           const Partitioning& schedule) {
-  return run_frontier(graph, program, schedule,
-                      FrontierOptions{.pattern_reuse = pattern_reuse_enabled()});
 }
 
 FrontierTrace run_frontier(const Graph& graph, VertexProgram& program,

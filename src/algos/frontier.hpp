@@ -77,34 +77,23 @@ struct FrontierTrace {
   // sim.kernel.* metrics.
   std::uint64_t blocks_skipped = 0;
   std::uint64_t edges_skipped = 0;
-
-  // Honest size estimate for cache accounting.
-  std::size_t approx_bytes() const;
 };
-
-// Process-wide default for run_frontier's per-iteration pattern reuse;
-// on unless --no-pattern-reuse flipped it off. A global rather than a
-// HyveConfig field on purpose: reuse never changes any result or
-// report, so it must not split cache keys or config labels.
-bool pattern_reuse_enabled();
-void set_pattern_reuse_enabled(bool on);
 
 struct FrontierOptions {
   // Skip/replay blocks whose active-source set is unchanged since the
   // previous iteration (sound for the same monotone programs interval
   // skipping is sound for; apply-phase programs degenerate to full
-  // passes either way).
+  // passes either way). Results and reports are identical either way;
+  // off re-streams every active block and is kept as the reference the
+  // tests compare against.
   bool pattern_reuse = true;
 };
 
 // Runs `program` to convergence, skipping blocks with inactive source
 // intervals. Results are identical to the dense run for programs whose
 // process_edge() returns false whenever the destination is unchanged.
-// The two-argument form takes the process-wide pattern-reuse default.
-FrontierTrace run_frontier(const Graph& graph, VertexProgram& program,
-                           const Partitioning& schedule);
 FrontierTrace run_frontier(const Graph& graph, VertexProgram& program,
                            const Partitioning& schedule,
-                           const FrontierOptions& options);
+                           const FrontierOptions& options = {});
 
 }  // namespace hyve

@@ -144,12 +144,6 @@ RunReport HyveMachine::run_with_schedule(const Graph& graph,
                              trace_pid);
 }
 
-std::size_t FunctionalOutcome::approx_bytes() const {
-  std::size_t bytes = sizeof(FunctionalOutcome);
-  if (frontier.has_value()) bytes += frontier->approx_bytes();
-  return bytes;
-}
-
 FunctionalOutcome HyveMachine::run_functional_phase(
     const Graph& graph, const Partitioning& schedule,
     VertexProgram& program) const {

@@ -90,9 +90,6 @@ struct FunctionalOutcome {
   FunctionalResult result;
   std::optional<FrontierTrace> frontier;  // set iff frontier mode was on
   std::uint32_t num_intervals = 0;        // P the schedule was built with
-
-  // Honest size estimate for cache accounting.
-  std::size_t approx_bytes() const;
 };
 
 class HyveMachine {

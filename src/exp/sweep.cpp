@@ -11,8 +11,8 @@
 #include <thread>
 #include <utility>
 
-#include "algos/frontier.hpp"
 #include "core/report_io.hpp"
+#include "graph/datasets.hpp"
 #include "obs/host_profiler.hpp"
 #include "obs/live.hpp"
 #include "obs/registry.hpp"
@@ -55,8 +55,6 @@ RunReport run_cached(GraphCache& graphs, PartitionCache& partitions,
                      std::uint32_t trace_pid, FunctionalCache* functional) {
   const HyveMachine machine(config);
   const auto program = make_program(algorithm);
-  // Hold shared ownership for the whole run: under a cache size cap a
-  // concurrent worker may evict these entries while we simulate.
   std::shared_ptr<const Graph> graph = graphs.acquire(graph_key);
   std::string schedule_key = graph_key;
   if (config.hash_balance) {
@@ -78,8 +76,7 @@ RunReport run_cached(GraphCache& graphs, PartitionCache& partitions,
   // propagation) never collide.
   const FunctionalKey key{schedule_key, program->name(),
                           config.partitioner.to_string(), p,
-                          config.frontier_block_skipping,
-                          pattern_reuse_enabled()};
+                          config.frontier_block_skipping};
   const std::shared_ptr<const FunctionalOutcome> outcome =
       functional->acquire(key, [&] {
         return machine.run_functional_phase(*graph, *schedule, *program);
@@ -185,10 +182,9 @@ std::vector<SweepResult> SweepEngine::run(const SweepSpec& spec,
   if (options.trace != nullptr) {
     // Graph-cache hit-rate timeline on the sweep's own pid-0 track.
     // Computed analytically in cell-index order — the first touch of
-    // each graph key is its compulsory miss, every later touch a hit
-    // (the unbounded-budget behaviour) — so the trace stays
-    // byte-identical for any --jobs value even though the real
-    // execution order races and a byte-capped cache may evict.
+    // each graph image (base or balanced) is its compulsory miss, every
+    // later touch a hit — so the trace stays byte-identical for any
+    // --jobs value even though the real execution order races.
     options.trace->process_name(0, "sweep");
     options.trace->thread_name(0, 0, "graph cache");
     std::set<std::string> seen;

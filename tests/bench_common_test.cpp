@@ -140,5 +140,16 @@ TEST_F(BenchArgsDeathTest, SharedCommandLineRejectsBadInput) {
               "unknown dataset XX");
 }
 
+// The caches are build-once with no size knobs, and pattern reuse has
+// no switch: each removed flag is now an unknown option.
+TEST_F(BenchArgsDeathTest, RemovedCacheAndReuseFlagsAreUnknownOptions) {
+  for (const char* flag : {"--graph-cache-mb", "--ooc-window-mb",
+                           "--partition-cache", "--functional-cache-mb"})
+    EXPECT_EXIT(parse({flag, "8"}), ::testing::ExitedWithCode(2),
+                std::string("unknown option ") + flag);
+  EXPECT_EXIT(parse({"--no-pattern-reuse"}), ::testing::ExitedWithCode(2),
+              "unknown option --no-pattern-reuse");
+}
+
 }  // namespace
 }  // namespace hyve

@@ -5,6 +5,9 @@
 // --option given as the last argv token must never read past argv.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -99,6 +102,21 @@ TEST(Cli, ParseIntAcceptsFullRange) {
   EXPECT_EQ(cli::parse_int(parser, "--n", "-7", -10, 10), -7);
   EXPECT_EQ(cli::parse_int(parser, "--n", "4096", 0, 4096), 4096);
 }
+
+#if defined(HYVE_SIM_BIN) && defined(HYVE_EXPERIMENTS_BIN)
+int run_tool(const std::string& bin, const std::string& args) {
+  const std::string cmd = bin + " " + args + " >/dev/null 2>&1";
+  const int rc = std::system(cmd.c_str());
+  return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+}
+
+// The pattern-reuse switch is gone from both tools (reuse is always on;
+// results never depended on it): it is now an unknown option.
+TEST(Cli, RemovedToolFlagsAreUnknownOptions) {
+  EXPECT_EQ(run_tool(HYVE_SIM_BIN, "--no-pattern-reuse"), 2);
+  EXPECT_EQ(run_tool(HYVE_EXPERIMENTS_BIN, "--no-pattern-reuse"), 2);
+}
+#endif
 
 }  // namespace
 }  // namespace hyve

@@ -1,19 +1,23 @@
-// Sweep engine (src/exp): cache correctness, determinism across thread
-// counts, order-stable sinks, and the RunReport JSON round-trip that
-// guards every record the sink writes. Runs under TSan in CI via the
+// Sweep engine (src/exp): build-once cache correctness (also under
+// concurrent first requests), determinism across thread counts,
+// order-stable sinks, and the RunReport JSON round-trip that guards
+// every record the sink writes. Runs under TSan in CI via the
 // "sweep-engine" ctest label.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <filesystem>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "core/report_io.hpp"
 #include "exp/sweep.hpp"
-#include "graph/blocked_format.hpp"
+#include "graph/datasets.hpp"
 #include "graph/generators.hpp"
 #include "util/check.hpp"
 
@@ -108,9 +112,9 @@ TEST(SweepEngine, CachesBuildEachArtifactOnce) {
   options.jobs = 4;
   engine.run(spec, options);
 
-  // g1 + g2 + one hash-balanced image each (every config shares the
-  // default seed).
-  EXPECT_EQ(graphs.loads(), 4u);
+  // g1 + g2; their hash-balanced images live in each graph's own remap
+  // memo and are not cache loads.
+  EXPECT_EQ(graphs.loads(), 2u);
   const std::size_t first = partitions.builds();
   EXPECT_GT(first, 0u);
   // All 12 cells share partitionings: at most one per (graph, config
@@ -119,7 +123,7 @@ TEST(SweepEngine, CachesBuildEachArtifactOnce) {
 
   // A second identical sweep hits every cache.
   engine.run(spec, options);
-  EXPECT_EQ(graphs.loads(), 4u);
+  EXPECT_EQ(graphs.loads(), 2u);
   EXPECT_EQ(partitions.builds(), first);
 }
 
@@ -136,12 +140,313 @@ TEST(SweepEngine, GraphCacheBuildsOnceUnderConcurrency) {
       for (int j = 0; j < 4; ++j) {
         const Graph& g = cache.base("shared");
         EXPECT_EQ(g.num_vertices(), 2000u);
-        cache.balanced("shared", 42);
+        cache.acquire_balanced("shared", 42);
       }
     });
   for (std::thread& t : pool) t.join();
   EXPECT_EQ(builds.load(), 1);
-  EXPECT_EQ(cache.loads(), 2u);  // base + one balanced image
+  EXPECT_EQ(cache.loads(), 1u);
+}
+
+TEST(SweepEngine, BalancedImageIsTheGraphsOwnRemap) {
+  // One balanced image per (graph, seed): the cache hands out the one
+  // Graph::hashed_remap_shared memoises, which direct HyveMachine::run
+  // callers share.
+  exp::GraphCache cache;
+  add_test_graphs(cache);
+  for (const char* key : {"g1", "g2"}) {
+    const auto balanced = cache.acquire_balanced(key, 7);
+    EXPECT_EQ(balanced.get(), cache.acquire(key)->hashed_remap_shared(7).get())
+        << key;
+    EXPECT_EQ(cache.acquire_balanced(key, 7).get(), balanced.get()) << key;
+  }
+}
+
+TEST(SweepEngine, ConcurrentFirstAcquireBuildsOncePerCache) {
+  // Eight workers make the first request for one key of each cache at
+  // the same time; each cache must run exactly one build and hand every
+  // worker the same object.
+  exp::GraphCache graphs;
+  std::atomic<int> graph_builds{0};
+  graphs.add("g", [&graph_builds] {
+    ++graph_builds;
+    return generate_rmat(2000, 8000, {}, 7);
+  });
+  exp::PartitionCache partitions;
+  exp::FunctionalCache functional;
+  std::atomic<int> functional_builds{0};
+  const HyveMachine machine(HyveConfig::hyve_opt());
+
+  constexpr int kThreads = 8;
+  std::vector<const void*> seen(3 * kThreads, nullptr);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kThreads; ++t)
+    pool.emplace_back([&, t] {
+      ++ready;
+      while (ready.load() < kThreads) std::this_thread::yield();
+      const auto graph = graphs.acquire("g");
+      const auto program = make_program(Algorithm::kBfs);
+      const std::uint32_t p = machine.choose_num_intervals(
+          *graph, program->vertex_value_bytes());
+      const auto schedule = partitions.acquire("g", *graph, p);
+      const auto outcome = functional.acquire(
+          {"g", program->name(), "interval", p, false}, [&] {
+            ++functional_builds;
+            return machine.run_functional_phase(*graph, *schedule, *program);
+          });
+      seen[3 * t] = graph.get();
+      seen[3 * t + 1] = schedule.get();
+      seen[3 * t + 2] = outcome.get();
+    });
+  for (std::thread& t : pool) t.join();
+
+  EXPECT_EQ(graph_builds.load(), 1);
+  EXPECT_EQ(graphs.loads(), 1u);
+  EXPECT_EQ(partitions.builds(), 1u);
+  EXPECT_EQ(partitions.strategy_stats().at("interval").hits,
+            static_cast<std::size_t>(kThreads - 1));
+  EXPECT_EQ(functional_builds.load(), 1);
+  EXPECT_EQ(functional.misses(), 1u);
+  EXPECT_EQ(functional.hits(), static_cast<std::size_t>(kThreads - 1));
+  for (int t = 1; t < kThreads; ++t)
+    for (int c = 0; c < 3; ++c) EXPECT_EQ(seen[3 * t + c], seen[c]);
+}
+
+TEST(SweepEngine, PartitionCacheKeyReuseForDifferentGraphIsRejected) {
+  exp::PartitionCache cache;
+  const Graph g1 = generate_rmat(2000, 8000, {}, 7);
+  const Graph g2 = generate_rmat(3000, 9000, {}, 8);
+  cache.acquire("k", g1, 4);
+  EXPECT_THROW(cache.acquire("k", g2, 4), InvariantError);
+}
+
+std::shared_ptr<const int> boxed(int value) {
+  return std::make_shared<const int>(value);
+}
+
+TEST(Memo, FirstGetBuildsAndLaterGetsShareTheValue) {
+  exp::Memo<int, int> memo;
+  int builds = 0;
+  const auto build = [&builds] {
+    ++builds;
+    return boxed(10 + builds);
+  };
+  const auto first = memo.get(1, build);
+  EXPECT_TRUE(first.built);
+  EXPECT_EQ(*first.value, 11);
+  const auto again = memo.get(1, build);
+  EXPECT_FALSE(again.built);
+  EXPECT_EQ(again.value.get(), first.value.get());
+  const auto other = memo.get(2, build);
+  EXPECT_TRUE(other.built);
+  EXPECT_EQ(*other.value, 12);
+  EXPECT_EQ(builds, 2);
+}
+
+TEST(Memo, ThrowingBuildLeavesSlotEmptyForRetry) {
+  exp::Memo<std::string, int> memo;
+  EXPECT_THROW(memo.get("k",
+                        []() -> std::shared_ptr<const int> {
+                          throw std::runtime_error("build failed");
+                        }),
+               std::runtime_error);
+  const auto retry = memo.get("k", [] { return boxed(7); });
+  EXPECT_TRUE(retry.built);
+  EXPECT_EQ(*retry.value, 7);
+  const auto hit = memo.get("k", [] { return boxed(8); });
+  EXPECT_FALSE(hit.built);
+  EXPECT_EQ(*hit.value, 7);
+}
+
+TEST(Memo, SameKeyRequestsShareOneBuild) {
+  exp::Memo<int, int> memo;
+  std::atomic<int> builds{0};
+  std::atomic<int> built_results{0};
+  constexpr int kThreads = 8;
+  std::vector<const int*> seen(kThreads, nullptr);
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kThreads; ++t)
+    pool.emplace_back([&, t] {
+      const auto result = memo.get(0, [&builds] {
+        ++builds;
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        return boxed(42);
+      });
+      if (result.built) ++built_results;
+      seen[t] = result.value.get();
+    });
+  for (std::thread& t : pool) t.join();
+  EXPECT_EQ(builds.load(), 1);
+  EXPECT_EQ(built_results.load(), 1);
+  for (int t = 1; t < kThreads; ++t) EXPECT_EQ(seen[t], seen[0]);
+}
+
+TEST(Memo, DistinctKeysBuildConcurrently) {
+  // Each build waits until the other key's build has started. If builds
+  // of different keys were serialised, the first would time out.
+  exp::Memo<int, int> memo;
+  std::mutex mu;
+  std::condition_variable cv;
+  int started = 0;
+  std::atomic<int> met{0};
+  const auto rendezvous = [&](int key) {
+    return memo.get(key, [&, key] {
+      std::unique_lock lock(mu);
+      ++started;
+      cv.notify_all();
+      if (cv.wait_for(lock, std::chrono::seconds(10),
+                      [&] { return started == 2; }))
+        ++met;
+      return boxed(key);
+    });
+  };
+  std::thread a([&] { rendezvous(1); });
+  std::thread b([&] { rendezvous(2); });
+  a.join();
+  b.join();
+  EXPECT_EQ(met.load(), 2);
+}
+
+TEST(GraphCache, AddRejectsTakenKeys) {
+  exp::GraphCache cache;
+  cache.add("g", [] { return generate_rmat(200, 800, {}, 1); });
+  EXPECT_THROW(cache.add("g", [] { return generate_rmat(200, 800, {}, 2); }),
+               InvariantError);
+  EXPECT_THROW(cache.add("g", generate_rmat(200, 800, {}, 3)), InvariantError);
+  // Dataset short names are pre-registered.
+  EXPECT_THROW(cache.add("YT", generate_rmat(200, 800, {}, 4)),
+               InvariantError);
+}
+
+TEST(GraphCache, UnknownKeyIsRejected) {
+  exp::GraphCache cache;
+  EXPECT_FALSE(cache.contains("nope"));
+  EXPECT_THROW(cache.acquire("nope"), InvariantError);
+  EXPECT_THROW(cache.acquire_balanced("nope", 1), InvariantError);
+  EXPECT_EQ(cache.loads(), 0u);
+}
+
+TEST(GraphCache, LazyGraphIsBuiltOnFirstAcquireOnly) {
+  exp::GraphCache cache;
+  int builds = 0;
+  cache.add("lazy", [&builds] {
+    ++builds;
+    return generate_rmat(2000, 8000, {}, 7);
+  });
+  EXPECT_TRUE(cache.contains("lazy"));
+  EXPECT_EQ(builds, 0);
+  EXPECT_EQ(cache.loads(), 0u);
+  const auto first = cache.acquire("lazy");
+  EXPECT_EQ(first->num_vertices(), 2000u);
+  EXPECT_EQ(builds, 1);
+  EXPECT_EQ(cache.loads(), 1u);
+  EXPECT_EQ(cache.acquire("lazy").get(), first.get());
+  EXPECT_EQ(&cache.base("lazy"), first.get());
+  EXPECT_EQ(builds, 1);
+  EXPECT_EQ(cache.loads(), 1u);
+}
+
+TEST(GraphCache, PrebuiltGraphIsServedAsRegistered) {
+  const Graph graph = generate_erdos_renyi(1500, 6000, 11);
+  exp::GraphCache cache;
+  cache.add("pre", graph);
+  const auto served = cache.acquire("pre");
+  EXPECT_EQ(served->num_vertices(), graph.num_vertices());
+  EXPECT_EQ(served->num_edges(), graph.num_edges());
+  EXPECT_EQ(cache.acquire("pre").get(), served.get());
+  EXPECT_EQ(cache.loads(), 1u);
+}
+
+TEST(GraphCache, DatasetKeysViewTheSharedDatasetStore) {
+  exp::GraphCache a;
+  exp::GraphCache b;
+  for (const DatasetId id : kAllDatasets)
+    EXPECT_TRUE(a.contains(dataset_name(id))) << dataset_name(id);
+  const Graph* store = &dataset_graph(DatasetId::kYT);
+  EXPECT_EQ(a.acquire("YT").get(), store);
+  EXPECT_EQ(b.acquire("YT").get(), store);
+}
+
+TEST(GraphCache, ThrowingMakerIsRetriedAndCountsOneLoad) {
+  exp::GraphCache cache;
+  int calls = 0;
+  cache.add("flaky", [&calls] {
+    if (++calls == 1) throw std::runtime_error("transient");
+    return generate_rmat(2000, 8000, {}, 7);
+  });
+  EXPECT_THROW(cache.acquire("flaky"), std::runtime_error);
+  EXPECT_EQ(cache.loads(), 0u);
+  const auto graph = cache.acquire("flaky");
+  EXPECT_EQ(graph->num_vertices(), 2000u);
+  EXPECT_EQ(cache.loads(), 1u);
+  EXPECT_EQ(cache.acquire("flaky").get(), graph.get());
+  EXPECT_EQ(calls, 2);
+}
+
+TEST(GraphCache, BalancedImagesAreKeyedBySeed) {
+  EXPECT_NE(exp::GraphCache::balanced_key("g", 1),
+            exp::GraphCache::balanced_key("g", 2));
+  EXPECT_NE(exp::GraphCache::balanced_key("g", 1), "g");
+  exp::GraphCache cache;
+  add_test_graphs(cache);
+  const auto base = cache.acquire("g1");
+  const auto one = cache.acquire_balanced("g1", 1);
+  const auto two = cache.acquire_balanced("g1", 2);
+  EXPECT_NE(one.get(), two.get());
+  EXPECT_NE(one.get(), base.get());
+  for (const auto& image : {one, two}) {
+    EXPECT_EQ(image->num_vertices(), base->num_vertices());
+    EXPECT_EQ(image->num_edges(), base->num_edges());
+  }
+  EXPECT_EQ(cache.loads(), 1u);
+}
+
+TEST(PartitionCache, StrategiesAndIntervalCountsGetDistinctEntries) {
+  const Graph graph = generate_rmat(2000, 8000, {}, 7);
+  PartitionerSpec hep;
+  hep.strategy = PartitionStrategy::kHep;
+  exp::PartitionCache cache;
+  const auto p4 = cache.acquire("g", graph, 4);
+  EXPECT_EQ(cache.acquire("g", graph, 4).get(), p4.get());
+  const auto p8 = cache.acquire("g", graph, 8);
+  const auto hep4 = cache.acquire("g", graph, 4, hep);
+  EXPECT_NE(p8.get(), p4.get());
+  EXPECT_NE(hep4.get(), p4.get());
+  EXPECT_EQ(p4->num_intervals(), 4u);
+  EXPECT_EQ(p8->num_intervals(), 8u);
+  EXPECT_EQ(hep4->num_intervals(), 4u);
+  EXPECT_EQ(cache.builds(), 3u);
+
+  const auto stats = cache.strategy_stats();
+  ASSERT_EQ(stats.size(), 2u);
+  const auto& interval = stats.at(PartitionerSpec{}.to_string());
+  EXPECT_EQ(interval.builds, 2u);
+  EXPECT_EQ(interval.hits, 1u);
+  const auto& hep_stats = stats.at(hep.to_string());
+  EXPECT_EQ(hep_stats.builds, 1u);
+  EXPECT_EQ(hep_stats.hits, 0u);
+}
+
+TEST(PartitionCache, CachedScheduleMatchesAFreshPartition) {
+  const Graph graph = generate_rmat(2000, 8000, {}, 7);
+  PartitionerSpec hep;
+  hep.strategy = PartitionStrategy::kHep;
+  exp::PartitionCache cache;
+  for (const PartitionerSpec& spec : {PartitionerSpec{}, hep}) {
+    const auto cached = cache.acquire("g", graph, 4, spec);
+    const Partitioning fresh = make_partitioner(spec)->partition(graph, 4);
+    ASSERT_EQ(cached->num_intervals(), fresh.num_intervals());
+    for (VertexId v = 0; v < graph.num_vertices(); ++v)
+      ASSERT_EQ(cached->interval_of(v), fresh.interval_of(v))
+          << spec.to_string() << " v=" << v;
+    EXPECT_TRUE(std::ranges::equal(cached->edge_columns().sources(),
+                                   fresh.edge_columns().sources()))
+        << spec.to_string();
+    EXPECT_TRUE(std::ranges::equal(cached->edge_columns().destinations(),
+                                   fresh.edge_columns().destinations()))
+        << spec.to_string();
+  }
 }
 
 TEST(SweepEngine, PropagatesCellFailures) {
@@ -241,172 +546,6 @@ TEST(ParseHelpers, DatasetRoundTrip) {
   EXPECT_FALSE(parse_dataset("XX").has_value());
 }
 
-TEST(CacheEviction, PartitionCacheEvictsLruAndRebuilds) {
-  exp::PartitionCache cache;
-  cache.set_max_entries(2);
-  EXPECT_EQ(cache.max_entries(), 2u);
-  const Graph g = generate_rmat(2000, 8000, {}, 7);
-
-  const auto pa = cache.acquire("a", g, 4);
-  const auto pb = cache.acquire("b", g, 4);
-  EXPECT_EQ(cache.builds(), 2u);
-  EXPECT_EQ(cache.resident(), 2u);
-  EXPECT_EQ(cache.evictions(), 0u);
-
-  // Third key evicts the LRU entry ("a") but pa stays valid: eviction
-  // only drops the cache's reference.
-  const auto pc = cache.acquire("c", g, 4);
-  EXPECT_EQ(cache.resident(), 2u);
-  EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_EQ(pa->num_edges(), g.num_edges());
-
-  // Hits do not rebuild; the evicted key rebuilds into a fresh object.
-  EXPECT_EQ(cache.acquire("c", g, 4).get(), pc.get());
-  EXPECT_EQ(cache.builds(), 3u);
-  const auto pa2 = cache.acquire("a", g, 4);
-  EXPECT_EQ(cache.builds(), 4u);
-  EXPECT_NE(pa2.get(), pa.get());
-  EXPECT_EQ(pa2->num_edges(), g.num_edges());
-  EXPECT_LE(cache.resident(), 2u);
-}
-
-TEST(CacheEviction, PartitionCacheKeyReuseForDifferentGraphIsRejected) {
-  exp::PartitionCache cache;
-  const Graph g1 = generate_rmat(2000, 8000, {}, 7);
-  const Graph g2 = generate_rmat(3000, 9000, {}, 8);
-  cache.acquire("k", g1, 4);
-  EXPECT_THROW(cache.acquire("k", g2, 4), InvariantError);
-}
-
-TEST(CacheEviction, PartitionCacheConcurrentAcquireUnderCap) {
-  exp::PartitionCache cache;
-  cache.set_max_entries(2);
-  const Graph g = generate_rmat(1000, 5000, {}, 9);
-  std::vector<std::thread> pool;
-  for (int t = 0; t < 8; ++t)
-    pool.emplace_back([&cache, &g] {
-      for (int i = 0; i < 24; ++i) {
-        // Six keys churning through a two-entry cache: every acquire
-        // must hand back a complete partitioning even when another
-        // worker concurrently evicts it.
-        const auto p =
-            cache.acquire("k" + std::to_string(i % 6), g, 4);
-        EXPECT_EQ(p->num_edges(), g.num_edges());
-      }
-    });
-  for (std::thread& t : pool) t.join();
-  EXPECT_LE(cache.resident(), 2u);
-  EXPECT_GT(cache.evictions(), 0u);
-  EXPECT_GE(cache.builds(), 6u);
-}
-
-TEST(CacheEviction, GraphCacheEvictsToByteBudgetAndRebuilds) {
-  exp::GraphCache cache;
-  cache.add("a", [] { return generate_rmat(1000, 40000, {}, 1); });
-  cache.add("b", [] { return generate_rmat(1000, 40000, {}, 2); });
-  cache.set_byte_budget(1);  // smaller than any one graph
-  EXPECT_EQ(cache.byte_budget(), 1u);
-
-  const auto ga = cache.acquire("a");
-  EXPECT_EQ(cache.loads(), 1u);
-  // "a" is over budget but never evicted on its own behalf (the entry
-  // just built is always kept).
-  EXPECT_EQ(cache.evictions(), 0u);
-  EXPECT_GT(cache.resident_bytes(), 0u);
-
-  const auto gb = cache.acquire("b");
-  EXPECT_EQ(cache.loads(), 2u);
-  EXPECT_EQ(cache.evictions(), 1u);
-  // The held pointer outlives the eviction.
-  EXPECT_EQ(ga->num_edges(), 40000u);
-
-  // Re-acquiring the evicted key rebuilds deterministically.
-  const auto ga2 = cache.acquire("a");
-  EXPECT_EQ(cache.loads(), 3u);
-  EXPECT_NE(ga2.get(), ga.get());
-  EXPECT_EQ(ga2->num_edges(), ga->num_edges());
-}
-
-TEST(CacheEviction, GraphCachePinnedAndDatasetEntriesAreExempt) {
-  exp::GraphCache cache;
-  cache.add("pinned", generate_rmat(1000, 6000, {}, 3));
-  cache.add("evictable", [] { return generate_rmat(1000, 30000, {}, 4); });
-  cache.set_byte_budget(1);
-
-  const Graph* pinned_before = cache.acquire("pinned").get();
-  cache.acquire("evictable");
-  cache.acquire("YT");  // dataset-backed: non-owning, zero bytes here
-  // Churn: only the closure-built entry is ever evicted.
-  cache.acquire("pinned");
-  EXPECT_EQ(cache.acquire("pinned").get(), pinned_before);
-  const std::size_t evictions = cache.evictions();
-  cache.acquire("evictable");
-  cache.acquire("YT");
-  EXPECT_EQ(cache.acquire("pinned").get(), pinned_before);
-  EXPECT_GE(cache.evictions(), evictions);
-}
-
-TEST(CacheEviction, GraphCacheServesBlockedFilesThroughWindow) {
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("hyve-exp-blocked-" + std::to_string(::getpid()));
-  std::filesystem::create_directories(dir);
-  const std::string file = (dir / "g.hgb").string();
-  const Graph g = generate_rmat(1000, 20000, {}, 21);
-  blocked::WriteOptions options;
-  options.block_edges = 1024;
-  blocked::write_blocked(g, file, options);
-
-  exp::GraphCache cache;
-  cache.set_ooc_window_budget(16 * 1024);
-  cache.add_blocked("ooc", file);
-
-  // The reader streams with the configured window bound.
-  const auto reader = cache.acquire_blocked("ooc");
-  EXPECT_EQ(reader->window_budget(), 16u * 1024u);
-  EXPECT_GT(reader->num_blocks(), 4u);
-
-  // acquire() materialises the same edges the in-memory graph holds,
-  // and the decode window never exceeds its budget doing so.
-  const auto materialised = cache.acquire("ooc");
-  EXPECT_EQ(materialised->edges(), g.edges());
-  EXPECT_LE(reader->window_peak_bytes(), 16u * 1024u);
-
-  // Window residency is part of the cache's resident bytes; a tiny
-  // byte budget forces the materialised copy out and then drains the
-  // window too, after which the entry is still rebuildable.
-  EXPECT_GE(cache.resident_bytes(), reader->window_resident_bytes());
-  cache.set_byte_budget(1);
-  EXPECT_EQ(reader->window_resident_bytes(), 0u);
-  EXPECT_EQ(cache.acquire("ooc")->edges(), g.edges());
-
-  std::error_code ec;
-  std::filesystem::remove_all(dir, ec);
-}
-
-TEST(CacheEviction, SweepUnderTightCachesStaysDeterministic) {
-  exp::SweepSpec spec = small_spec();
-  const auto run_with_budget = [&](int jobs) {
-    exp::GraphCache graphs;
-    add_test_graphs(graphs);
-    graphs.set_byte_budget(1);
-    exp::PartitionCache partitions;
-    partitions.set_max_entries(1);
-    exp::SweepEngine engine(graphs, partitions);
-    std::ostringstream os;
-    exp::ResultSink sink(os, exp::ResultSink::Format::kJsonl);
-    exp::SweepOptions options;
-    options.jobs = jobs;
-    engine.run(spec, options, &sink);
-    return os.str();
-  };
-  const std::string serial = run_with_budget(1);
-  EXPECT_FALSE(serial.empty());
-  EXPECT_EQ(serial, run_with_budget(4));
-  // And identical to the unbounded-cache sweep: eviction must never
-  // change results, only rebuild counts.
-  EXPECT_EQ(serial, sweep_output(spec, 2, exp::ResultSink::Format::kJsonl));
-}
-
 // Eight configs that differ only in memory-accounting knobs: same SRAM
 // size and PU count (same P), same balance seed, same frontier mode, so
 // every (algorithm, graph) pair shares one functional outcome.
@@ -457,7 +596,6 @@ TEST(FunctionalCache, MemoizesAcrossMemoryConfigsWithIdenticalOutput) {
       // One outcome per (algorithm, graph): 2 misses, 14 hits here.
       EXPECT_EQ(functional.misses(),
                 spec.algorithms.size() * spec.graphs.size());
-      EXPECT_GT(functional.resident_bytes(), 0u);
     }
     return os.str();
   };
@@ -503,66 +641,74 @@ TEST(FunctionalCache, FrontierAndDenseOutcomesGetDistinctEntries) {
   EXPECT_EQ(report_to_json(cached), report_to_json(direct));
 }
 
-TEST(FunctionalCache, EvictsLruToByteBudgetAndRebuilds) {
-  exp::GraphCache graphs;
-  add_test_graphs(graphs);
-  exp::PartitionCache partitions;
-  exp::FunctionalCache functional;
-  functional.set_byte_budget(1);  // smaller than any one outcome
-  EXPECT_EQ(functional.byte_budget(), 1u);
-
-  const HyveConfig cfg = HyveConfig::hyve_opt();
-  exp::run_cached(graphs, partitions, cfg, Algorithm::kBfs, "g1", nullptr,
-                  1, &functional);
-  EXPECT_EQ(functional.misses(), 1u);
-  // The just-built entry is never evicted on its own behalf.
-  EXPECT_EQ(functional.evictions(), 0u);
-  EXPECT_GT(functional.resident_bytes(), 0u);
-
-  // A second outcome evicts the first; re-running the first rebuilds it
-  // (a miss, not a hit) with an identical report.
-  exp::run_cached(graphs, partitions, cfg, Algorithm::kPageRank, "g1",
-                  nullptr, 1, &functional);
-  EXPECT_EQ(functional.evictions(), 1u);
-  const RunReport rebuilt = exp::run_cached(graphs, partitions, cfg,
-                                            Algorithm::kBfs, "g1", nullptr,
-                                            1, &functional);
-  EXPECT_EQ(functional.misses(), 3u);
-  EXPECT_EQ(functional.hits(), 0u);
-  const RunReport direct =
-      HyveMachine(cfg).run(graphs.base("g1"), Algorithm::kBfs);
-  EXPECT_EQ(report_to_json(rebuilt), report_to_json(direct));
+FunctionalOutcome tagged_outcome(std::uint32_t num_intervals) {
+  FunctionalOutcome outcome;
+  outcome.num_intervals = num_intervals;
+  return outcome;
 }
 
-TEST(FunctionalCache, ConcurrentAcquireUnderTightBudget) {
-  // Sweep-engine TSan coverage: workers churn outcomes through a budget
-  // that can hold roughly one entry, so acquisition, eviction and
-  // rebuild race. Every handed-out outcome must stay complete and
-  // usable even when the cache drops it concurrently.
+TEST(FunctionalCache, HitRateIsHitsOverRequests) {
   exp::FunctionalCache cache;
-  cache.set_byte_budget(1);
-  const Graph g = generate_rmat(2000, 8000, {}, 7);
-  const Partitioning part(g, 8);
-  std::vector<std::thread> pool;
-  for (int t = 0; t < 8; ++t)
-    pool.emplace_back([&] {
-      for (int i = 0; i < 16; ++i) {
-        const exp::FunctionalKey key{"g", i % 4 == 0 ? "BFS" : "CC",
-                                     "interval", 8, false};
-        const auto outcome = cache.acquire(key, [&] {
-          const HyveMachine machine(HyveConfig::hyve_opt());
-          const auto program = make_program(
-              i % 4 == 0 ? Algorithm::kBfs : Algorithm::kCc);
-          return machine.run_functional_phase(g, part, *program);
-        });
-        EXPECT_EQ(outcome->num_intervals, 8u);
-        EXPECT_GT(outcome->result.iterations, 0u);
-        EXPECT_GT(outcome->approx_bytes(), 0u);
-      }
+  EXPECT_EQ(cache.hit_rate(), 0.0);
+  const exp::FunctionalKey key{"g", "BFS", "interval", 4, false};
+  int builds = 0;
+  const auto build = [&builds] {
+    ++builds;
+    return tagged_outcome(4);
+  };
+  const auto first = cache.acquire(key, build);
+  EXPECT_EQ(cache.hit_rate(), 0.0);
+  for (int i = 0; i < 3; ++i)
+    EXPECT_EQ(cache.acquire(key, build).get(), first.get());
+  EXPECT_EQ(builds, 1);
+  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache.hits(), 3u);
+  EXPECT_DOUBLE_EQ(cache.hit_rate(), 0.75);
+}
+
+TEST(FunctionalCache, EveryKeyFieldSeparatesOutcomes) {
+  const exp::FunctionalKey base{"g", "BFS", "interval", 4, false};
+  std::vector<exp::FunctionalKey> keys(6, base);
+  keys[1].graph_key = exp::GraphCache::balanced_key("g", 1);
+  keys[2].algorithm = "PR";
+  keys[3].partitioner = "hep:tau=2";
+  keys[4].num_intervals = 8;
+  keys[5].frontier = true;
+
+  exp::FunctionalCache cache;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const auto outcome = cache.acquire(keys[i], [i] {
+      return tagged_outcome(static_cast<std::uint32_t>(100 + i));
     });
-  for (std::thread& t : pool) t.join();
-  EXPECT_GT(cache.evictions(), 0u);
-  EXPECT_GE(cache.misses(), 2u);
+    EXPECT_EQ(outcome->num_intervals, 100 + i) << i;
+  }
+  EXPECT_EQ(cache.misses(), keys.size());
+  EXPECT_EQ(cache.hits(), 0u);
+  // Each key replays its own outcome.
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const auto outcome =
+        cache.acquire(keys[i], [] { return tagged_outcome(0); });
+    EXPECT_EQ(outcome->num_intervals, 100 + i) << i;
+  }
+  EXPECT_EQ(cache.hits(), keys.size());
+}
+
+TEST(FunctionalCache, ThrowingBuildIsRetried) {
+  exp::FunctionalCache cache;
+  const exp::FunctionalKey key{"g", "BFS", "interval", 4, false};
+  EXPECT_THROW(cache.acquire(key,
+                             []() -> FunctionalOutcome {
+                               throw std::runtime_error("build failed");
+                             }),
+               std::runtime_error);
+  EXPECT_EQ(cache.misses(), 0u);
+  EXPECT_EQ(cache.hits(), 0u);
+  const auto outcome = cache.acquire(key, [] { return tagged_outcome(4); });
+  EXPECT_EQ(outcome->num_intervals, 4u);
+  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache.acquire(key, [] { return tagged_outcome(0); }).get(),
+            outcome.get());
+  EXPECT_EQ(cache.hits(), 1u);
 }
 
 TEST(ParseHelpers, ConfigLabelRoundTrip) {

@@ -6,16 +6,17 @@
 // over block_soa(x, y).edge(i) in order; whole runs (run_functional,
 // run_frontier) must match the per-edge loop. Also pins the on-demand
 // weight-hash column to Graph::edge_weight and its memory contract,
-// proves per-iteration pattern reuse is invisible in results and
-// traces, and exercises the lock-free lazy publication under
-// concurrency (run under -L sweep-engine so the ThreadSanitizer CI pass
-// covers it).
+// proves per-iteration pattern reuse is invisible in results, block
+// traces, run reports and Chrome traces, and exercises the lock-free
+// lazy publication under concurrency (run under -L sweep-engine so the
+// ThreadSanitizer CI pass covers it).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
 #include <memory>
 #include <random>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,8 +28,12 @@
 #include "algos/pagerank.hpp"
 #include "algos/spmv.hpp"
 #include "algos/sssp.hpp"
+#include "core/machine.hpp"
+#include "core/report_io.hpp"
+#include "graph/datasets.hpp"
 #include "graph/generators.hpp"
 #include "graph/partition.hpp"
+#include "obs/trace.hpp"
 #include "util/check.hpp"
 
 namespace hyve {
@@ -366,7 +371,6 @@ TEST(FrontierTrace, SparseAccessorsMatchDenseExpansion) {
     // Sparse storage holds non-empty blocks only.
     EXPECT_EQ(trace.iteration_blocks[iter].size(), blocks);
   }
-  EXPECT_GT(trace.approx_bytes(), sizeof(FrontierTrace));
 }
 
 TEST(SoaKernels, WeightHashColumnMatchesEdgeWeight) {
@@ -471,6 +475,56 @@ TEST(SoaKernels, PatternReuseIsTraceInvisible) {
       pc.expect_eq(*with, *without);
     }
   }
+}
+
+TEST(SoaKernels, PatternReuseIsReportAndTraceInvisible) {
+  // End to end under a frontier config: functional outcomes built with
+  // pattern reuse on and off must replay into byte-identical validated
+  // report JSON and Chrome traces, as run_cached would emit them.
+  HyveConfig config = HyveConfig::hyve_opt();
+  config.frontier_block_skipping = true;
+  const HyveMachine machine(config);
+  std::uint64_t blocks_replayed = 0;
+  for (const DatasetId id : {DatasetId::kYT, DatasetId::kWK}) {
+    const std::shared_ptr<const Graph> graph =
+        dataset_graph(id).hashed_remap_shared(config.hash_balance_seed);
+    for (const Algorithm algo : {Algorithm::kBfs, Algorithm::kCc,
+                                 Algorithm::kSssp, Algorithm::kPageRank}) {
+      SCOPED_TRACE(::testing::Message()
+                   << dataset_name(id) << "/" << algorithm_name(algo));
+      const std::uint32_t p = machine.choose_num_intervals(
+          *graph, make_program(algo)->vertex_value_bytes());
+      const Partitioning schedule(*graph, p);
+      const auto replay = [&](bool reuse, std::string* trace_bytes) {
+        FunctionalOutcome outcome;
+        outcome.num_intervals = p;
+        const auto functional_program = make_program(algo);
+        outcome.frontier =
+            run_frontier(*graph, *functional_program, schedule,
+                         FrontierOptions{.pattern_reuse = reuse});
+        outcome.result = outcome.frontier->result;
+        if (reuse) blocks_replayed += outcome.frontier->blocks_skipped;
+        obs::Trace trace;
+        const auto program = make_program(algo);
+        const RunReport report = machine.run_with_functional(
+            *graph, schedule, *program, outcome, &trace, 1);
+        std::ostringstream os;
+        trace.write(os);
+        *trace_bytes = os.str();
+        return validated_report_json(report);
+      };
+      std::string trace_on;
+      std::string trace_off;
+      const std::string on = replay(true, &trace_on);
+      const std::string off = replay(false, &trace_off);
+      EXPECT_EQ(on, off);
+      EXPECT_FALSE(trace_on.empty());
+      EXPECT_EQ(trace_on, trace_off);
+    }
+  }
+  // Reuse really replayed blocks somewhere, so the equalities above
+  // compared two different host paths.
+  EXPECT_GT(blocks_replayed, 0u);
 }
 
 TEST(PartitionLazyMemo, ConcurrentBuildersShareOneImage) {

@@ -20,7 +20,6 @@
 #include <optional>
 #include <string>
 
-#include "algos/frontier.hpp"
 #include "core/bench_json.hpp"
 #include "core/report_io.hpp"
 #include "exp/sweep.hpp"
@@ -90,10 +89,6 @@ int main(int argc, char** argv) {
         }
       });
   parser.flag("--frontier", "add the block-skipping variant", &add_frontier);
-  parser.flag("--no-pattern-reuse",
-              "disable per-iteration pattern reuse in frontier runs "
-              "(identical output, more host work)",
-              [&] { set_pattern_reuse_enabled(false); });
   parser.option("--jobs", "N",
                 "worker threads (0 = hardware concurrency; default 1)",
                 [&](const std::string& v) {
@@ -190,18 +185,16 @@ int main(int argc, char** argv) {
     if (host_profile) obs::host_profiler().stop();
     if (trace) trace->write_file(trace_path);
     if (cache_stats) {
-      std::cerr << "graph cache: loads=" << graphs.loads()
-                << " evictions=" << graphs.evictions() << "\n"
+      std::cerr << "graph cache: loads=" << graphs.loads() << "\n"
                 << "partition cache: builds=" << partitions.builds()
-                << " evictions=" << partitions.evictions() << "\n";
+                << "\n";
       for (const auto& [strategy, stats] : partitions.strategy_stats())
         std::cerr << "partition cache[" << strategy
                   << "]: hits=" << stats.hits << " builds=" << stats.builds
-                  << " evictions=" << stats.evictions << "\n";
+                  << "\n";
       if (functional_cache)
         std::cerr << "functional cache: hits=" << functional.hits()
                   << " misses=" << functional.misses()
-                  << " evictions=" << functional.evictions()
                   << " hit_rate=" << functional.hit_rate() << "\n";
     }
     if (metrics) obs::registry().dump(std::cerr);

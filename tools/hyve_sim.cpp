@@ -19,7 +19,6 @@
 
 #include <unistd.h>
 
-#include "algos/frontier.hpp"
 #include "baselines/cpu.hpp"
 #include "baselines/graphr.hpp"
 #include "core/bench_json.hpp"
@@ -80,16 +79,16 @@ int run_metrics_census() {
 
   // Out-of-core streaming load through a deliberately tiny window over
   // many small blocks so faults AND evictions happen: the sim.ooc.*
-  // family.
+  // family (the same reader path as --graph-format blocked).
   const std::string blocked = (dir / "census.hgb").string();
   RmatChunkOptions chunk;
   chunk.write.block_edges = 256;
   generate_rmat_blocked(blocked, 512, 2048, {}, 1, chunk);
   {
-    exp::GraphCache ooc_cache;
-    ooc_cache.set_ooc_window_budget(units::KiB(4));
-    ooc_cache.add_blocked("census-ooc", blocked);
-    ooc_cache.acquire("census-ooc");
+    BlockedReaderOptions reader_options;
+    reader_options.window_bytes = units::KiB(4);
+    BlockedGraphReader reader(blocked, reader_options);
+    materialize(reader);
   }
 
   // The full accelerator-config grid × {PR, BFS} × every partitioning
@@ -300,11 +299,6 @@ int main(int argc, char** argv) {
               [&] { config.data_sharing = false; });
   parser.flag("--no-power-gating", "disable bank-level power gating",
               [&] { config.power_gating = false; });
-  parser.flag("--no-pattern-reuse",
-              "disable per-iteration pattern reuse in frontier runs "
-              "(results are identical either way; this re-streams every "
-              "active block)",
-              [&] { set_pattern_reuse_enabled(false); });
   parser.flag("--compare", "also run GraphR and the CPU baselines", &compare);
   parser.flag("--area", "print the silicon area estimate", &area);
   parser.flag("--csv", "machine-readable breakdown", &csv);
