@@ -6,6 +6,8 @@
 // Each section runs the full machine so the knob's system-level effect —
 // not just its device-level effect — is visible.
 #include <iostream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/common.hpp"
@@ -26,8 +28,8 @@ int main(int argc, char** argv) {
   // The full 11-run cell list: A on/off, B energy/latency, C five PU
   // counts, D 8/12-byte edges.
   std::vector<HyveConfig> configs;
-  const auto add = [&](HyveConfig cfg, const char* label) {
-    cfg.label = label;
+  const auto add = [&](HyveConfig cfg, std::string label) {
+    cfg.label = std::move(label);
     configs.push_back(std::move(cfg));
   };
   add(HyveConfig::hyve_opt(), "subbank ilv ON");
@@ -46,7 +48,9 @@ int main(int argc, char** argv) {
   for (const int pus : pu_counts) {
     HyveConfig cfg = HyveConfig::hyve_opt();
     cfg.num_pus = pus;
-    add(cfg, "pu-sweep");
+    // Distinct labels keep every PU count in the --json report, which
+    // holds one run per (label, algorithm, graph).
+    add(cfg, "pu-sweep N=" + std::to_string(pus));
   }
   add(HyveConfig::hyve_opt(), "8B edges");
   {

@@ -51,7 +51,9 @@ namespace hyve::bench {
 
 // Process-wide caches shared by the fig/table benches: a binary that
 // sweeps many configs over the datasets hash-balances and partitions
-// each graph once instead of once per (config, algorithm) cell.
+// each graph once instead of once per (config, algorithm) cell, and runs
+// each vertex program once per graph image instead of once per memory
+// config.
 inline exp::GraphCache& graph_cache() {
   static exp::GraphCache cache;
   return cache;
@@ -65,13 +67,6 @@ inline exp::PartitionCache& partition_cache() {
 inline exp::FunctionalCache& functional_cache() {
   static exp::FunctionalCache cache;
   return cache;
-}
-
-// Null until --functional-cache is parsed; passed through to
-// run_cached/SweepEngine so memoisation stays strictly opt-in.
-inline exp::FunctionalCache*& functional_cache_if_enabled() {
-  static exp::FunctionalCache* enabled = nullptr;
-  return enabled;
 }
 
 // The --partitioner strategy, applied to every cell that flows through
@@ -109,7 +104,6 @@ inline void record_report(const std::string& graph_key,
 //   --datasets YT,WK,...  restrict the dataset axis of dataset benches
 //   --partitioner SPEC    partitioning strategy for every cell
 //   --smoke               deterministic stand-ins for wall-clock timings
-//   --functional-cache    memoise functional phases across cells
 //   --cache-stats         print cache counters to stderr after the run
 //   --metrics             dump the full metrics registry to stderr
 //   --host-profile        wall-clock spans, memory sampling and stage
@@ -125,7 +119,6 @@ struct Options {
   int jobs = 1;
   bool smoke = false;
   std::vector<DatasetId> datasets{kAllDatasets.begin(), kAllDatasets.end()};
-  bool functional_cache = false;
   bool cache_stats = false;
   bool metrics = false;
   bool host_profile = false;          // --host-profile was given
@@ -150,25 +143,26 @@ struct Options {
     // Stop before the trace/report writes so host.wall_us, the rate
     // gauges, and the final memory sample land in both.
     if (host_profile) obs::host_profiler().stop();
-    if (cache_stats || metrics) {
-      if (cache_stats) {
-        std::cerr << "cache stats: graphs loads=" << graph_cache().loads()
-                  << "; partitions builds=" << partition_cache().builds()
+    if (cache_stats) {
+      std::cerr << "cache stats: graphs loads=" << graph_cache().loads()
+                << "; partitions builds=" << partition_cache().builds()
+                << "\n";
+      for (const auto& [strategy, stats] : partition_cache().strategy_stats())
+        std::cerr << "partition cache[" << strategy
+                  << "]: hits=" << stats.hits << " builds=" << stats.builds
                   << "\n";
-        for (const auto& [strategy, stats] :
-             partition_cache().strategy_stats())
-          std::cerr << "partition cache[" << strategy
-                    << "]: hits=" << stats.hits
-                    << " builds=" << stats.builds << "\n";
-        if (functional_cache)
-          std::cerr << "functional cache: hits="
-                    << bench::functional_cache().hits()
-                    << " misses=" << bench::functional_cache().misses()
-                    << " hit_rate="
-                    << bench::functional_cache().hit_rate() << "\n";
-      }
-      if (metrics) obs::registry().dump(std::cerr);
+      std::cerr << "functional cache: hits="
+                << bench::functional_cache().hits()
+                << " misses=" << bench::functional_cache().misses()
+                << " hit_rate=" << bench::functional_cache().hit_rate()
+                << "\n";
     }
+    // The full dump carries the host.* lines; without it --host-profile
+    // prints them on its own.
+    if (metrics)
+      obs::registry().dump(std::cerr);
+    else if (host_profile)
+      obs::HostProfiler::print_summary(std::cerr);
     if (trace) trace->write_file(trace_path);
     if (!json_path.empty()) write_json_report();
     // Last, so the final "done" snapshot reflects end-of-run metrics.
@@ -308,10 +302,6 @@ inline Options parse_args(int argc, char** argv, const std::string& prog,
               "deterministic stand-ins for wall-clock measurements "
               "(bench-smoke CI; numbers are not measurements)",
               &opts.smoke);
-  parser.flag("--functional-cache",
-              "memoise functional phases across cells that share a graph "
-              "image, algorithm, P and frontier mode (identical output)",
-              &opts.functional_cache);
   parser.flag("--cache-stats", "print cache counters to stderr",
               &opts.cache_stats);
   parser.flag("--metrics", "dump the metrics registry to stderr",
@@ -369,8 +359,6 @@ inline Options parse_args(int argc, char** argv, const std::string& prog,
     obs::install_flight_recorder(
         [snapshot](int signum) { snapshot.flight_save(signum); });
   }
-  if (opts.functional_cache)
-    functional_cache_if_enabled() = &functional_cache();
   return opts;
 }
 
@@ -381,10 +369,9 @@ inline RunReport run_dataset(const HyveConfig& cfg, DatasetId id,
   HyveConfig cell_cfg = cfg;
   if (!partitioner_spec().is_default())
     cell_cfg.set_partitioner(partitioner_spec());
-  RunReport report = exp::run_cached(graph_cache(), partition_cache(),
-                                     cell_cfg, algo, dataset_name(id),
-                                     /*trace=*/nullptr, /*trace_pid=*/1,
-                                     functional_cache_if_enabled());
+  RunReport report =
+      exp::run_cached(graph_cache(), partition_cache(), functional_cache(),
+                      cell_cfg, algo, dataset_name(id));
   record_report(dataset_name(id), report);
   return report;
 }
@@ -432,7 +419,7 @@ inline GridResults run_grid(const exp::SweepSpec& spec, const Options& opts) {
       grid_spec.partitioners.front().is_default())
     grid_spec.partitioners = {partitioner_spec()};
   exp::SweepEngine engine(graph_cache(), partition_cache(),
-                          functional_cache_if_enabled());
+                          functional_cache());
   exp::SweepOptions options;
   options.jobs = opts.jobs;
   options.trace = opts.trace.get();

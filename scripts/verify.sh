@@ -1,11 +1,11 @@
 #!/usr/bin/env sh
 # Tier-1 verification: build, full test suite (unit + bench-smoke), an
-# observability smoke run (--metrics/--trace on a tiny graph), a
-# bench-json smoke run (--json + hyve_report --check/--compare, byte-
-# diffed across --jobs), a functional-cache smoke run (cache on/off
-# byte-diff of stdout and --json), an out-of-core smoke run (blocked
-# graph streamed under --ooc-window-mb, byte-diffed against the
-# in-memory run), a live-telemetry smoke run (--live-status snapshots,
+# observability smoke run (--metrics/--trace/--host-profile on a tiny
+# graph), a bench-json smoke run (--json + hyve_report --check/--compare,
+# byte-diffed across --jobs), a functional-memo smoke run (--cache-stats
+# reports functional-cache replays with no extra flag), an out-of-core
+# smoke run (blocked graph streamed under --ooc-window-mb, byte-diffed
+# against the in-memory run), a live-telemetry smoke run (--live-status snapshots,
 # hyve_top, and the SIGTERM flight-record path), a docs/METRICS.md
 # drift check, a kernel-regression smoke run (bench_micro's built-in
 # layout-equivalence gate), the full suite in a Debug
@@ -34,6 +34,15 @@ grep -q '"ph"' "$obs_dir/trace.json" ||
   { echo "obs-smoke: trace has no events" >&2; exit 1; }
 grep -q '"traceEvents"' "$obs_dir/trace.json" ||
   { echo "obs-smoke: not a trace-event document" >&2; exit 1; }
+# --host-profile alone prints its host.* summary, and the profiler runs
+# from before graph generation, so the R-MAT build is in it.
+./build/tools/hyve_sim --rmat 5000x30000 --algo pr --host-profile \
+  >/dev/null 2>"$obs_dir/host.txt"
+grep -q '^host\.wall_us=' "$obs_dir/host.txt" ||
+  { echo "obs-smoke: --host-profile printed no summary" >&2; exit 1; }
+grep -q '^host\.span\.rmat\.generate\.count=1$' "$obs_dir/host.txt" ||
+  { echo "obs-smoke: R-MAT generation missing from the host profile" >&2
+    exit 1; }
 echo "obs-smoke: OK"
 
 # bench-json: a smoke bench must emit a report hyve_report accepts, the
@@ -55,35 +64,43 @@ cmp "$obs_dir/bench_j1.nohost" "$obs_dir/bench_j8.nohost" ||
 ./build/tools/hyve_report --compare "$obs_dir/bench_j1.json" \
   "$obs_dir/bench_j8.json" >/dev/null ||
   { echo "bench-json: identical reports flagged as regressed" >&2; exit 1; }
+# bench_ablation sweeps configs that share a base label (five PU counts)
+# on AS, its default dataset; every cell must survive the report's
+# (label, algorithm, graph) de-duplication whatever order cells finish.
+./build/bench/bench_ablation --smoke --jobs 1 \
+  --json "$obs_dir/ablation_j1.json" >/dev/null 2>&1
+./build/bench/bench_ablation --smoke --jobs 8 \
+  --json "$obs_dir/ablation_j8.json" >/dev/null 2>&1
+strip_host "$obs_dir/ablation_j1.json" > "$obs_dir/ablation_j1.nohost"
+strip_host "$obs_dir/ablation_j8.json" > "$obs_dir/ablation_j8.nohost"
+cmp "$obs_dir/ablation_j1.nohost" "$obs_dir/ablation_j8.nohost" ||
+  { echo "bench-json: bench_ablation --jobs 1 and --jobs 8 reports differ" >&2
+    exit 1; }
 echo "bench-json: OK"
 
-# functional-cache: memoising the functional phase must never change a
-# byte of output — stdout and --json are diffed with the cache on vs
-# off (serial and parallel), and --cache-stats must actually report it.
+# functional-memo: every sweep memoises its functional phases; there is
+# no switch left to diff against. The on/off check is the ctest
+# FunctionalCache.MemoizesAcrossMemoryConfigsWithIdenticalOutput, which
+# byte-compares memoised sweeps (report JSON and trace, --jobs 1 and 8)
+# with per-cell HyveMachine::run. Here --cache-stats must report the
+# functional cache with no extra flag, with replays on a five-config
+# grid, for hyve_experiments and a bench alike; the bench's stdout
+# doubles as the plain run live-smoke diffs against.
 ./build/tools/hyve_experiments --datasets YT --algos bfs,pr --jobs 1 \
-  > "$obs_dir/exp_off.jsonl"
-./build/tools/hyve_experiments --datasets YT --algos bfs,pr --jobs 1 \
-  --functional-cache --cache-stats \
-  > "$obs_dir/exp_on.jsonl" 2>"$obs_dir/exp_stats.txt"
+  --cache-stats > "$obs_dir/exp_j1.jsonl" 2>"$obs_dir/exp_stats.txt"
 ./build/tools/hyve_experiments --datasets YT --algos bfs,pr --jobs 8 \
-  --functional-cache > "$obs_dir/exp_on_j8.jsonl"
-cmp "$obs_dir/exp_off.jsonl" "$obs_dir/exp_on.jsonl" ||
-  { echo "functional-cache: cached output differs from uncached" >&2; exit 1; }
-cmp "$obs_dir/exp_off.jsonl" "$obs_dir/exp_on_j8.jsonl" ||
-  { echo "functional-cache: --jobs 8 cached output differs" >&2; exit 1; }
-grep -q 'functional cache: hits=' "$obs_dir/exp_stats.txt" ||
-  { echo "functional-cache: --cache-stats reported nothing" >&2; exit 1; }
-./build/bench/bench_fig13 --smoke --jobs 2 --functional-cache \
-  --json "$obs_dir/bench_fc.json" > "$obs_dir/bench_fc.out" 2>/dev/null
-./build/bench/bench_fig13 --smoke --jobs 2 \
-  --json "$obs_dir/bench_nofc.json" > "$obs_dir/bench_nofc.out" 2>/dev/null
-cmp "$obs_dir/bench_fc.out" "$obs_dir/bench_nofc.out" ||
-  { echo "functional-cache: bench stdout differs with cache on" >&2; exit 1; }
-strip_host "$obs_dir/bench_fc.json" > "$obs_dir/bench_fc.nohost"
-strip_host "$obs_dir/bench_nofc.json" > "$obs_dir/bench_nofc.nohost"
-cmp "$obs_dir/bench_fc.nohost" "$obs_dir/bench_nofc.nohost" ||
-  { echo "functional-cache: bench --json differs with cache on" >&2; exit 1; }
-echo "functional-cache: OK"
+  > "$obs_dir/exp_j8.jsonl"
+cmp "$obs_dir/exp_j1.jsonl" "$obs_dir/exp_j8.jsonl" ||
+  { echo "functional-memo: --jobs 1 and --jobs 8 outputs differ" >&2; exit 1; }
+grep -q 'functional cache: hits=[1-9]' "$obs_dir/exp_stats.txt" ||
+  { echo "functional-memo: hyve_experiments --cache-stats shows no" \
+         "functional-cache hits" >&2; exit 1; }
+./build/bench/bench_fig13 --smoke --jobs 2 --cache-stats \
+  > "$obs_dir/bench_plain.out" 2>"$obs_dir/bench_stats.txt"
+grep -q 'functional cache: hits=[1-9]' "$obs_dir/bench_stats.txt" ||
+  { echo "functional-memo: bench --cache-stats shows no functional-cache" \
+         "hits" >&2; exit 1; }
+echo "functional-memo: OK"
 
 # partitioner-smoke: sweeping every partitioning strategy must stay
 # order-stable (byte-identical --jobs 1 vs 8), every strategy must show
@@ -179,7 +196,7 @@ echo "perf-history: OK"
 
 # live-smoke: a bench run with --live-status must publish at least two
 # snapshots and finish with state "done" — without changing a byte of
-# stdout (diffed against the plain run from the functional-cache step).
+# stdout (diffed against the plain run from the functional-memo step).
 # hyve_top must render the final snapshot. Then a second, full-size run
 # is SIGTERMed mid-sweep: the flight recorder must exit with code 75
 # and leave a hyve_report-clean partial report, a truncated trace and
@@ -192,7 +209,7 @@ grep -q '"state":"done"' "$obs_dir/live.json" ||
 snaps=$(sed -n 's/.*"snapshot":\([0-9]*\).*/\1/p' "$obs_dir/live.json")
 [ -n "$snaps" ] && [ "$snaps" -ge 2 ] ||
   { echo "live-smoke: fewer than 2 snapshots published" >&2; exit 1; }
-cmp "$obs_dir/bench_live.out" "$obs_dir/bench_nofc.out" ||
+cmp "$obs_dir/bench_live.out" "$obs_dir/bench_plain.out" ||
   { echo "live-smoke: --live-status changed bench stdout" >&2; exit 1; }
 ./build/tools/hyve_top "$obs_dir/live.json" --once > "$obs_dir/top.txt" ||
   { echo "live-smoke: hyve_top failed on a status file" >&2; exit 1; }

@@ -110,37 +110,18 @@ RunReport HyveMachine::run(const Graph& graph, VertexProgram& program,
   const std::uint32_t p =
       choose_num_intervals(graph, program.vertex_value_bytes());
   const auto partitioner = make_partitioner(config_.partitioner);
-  if (config_.hash_balance) {
-    // Simulate the hash-balanced layout (§4.3): block populations even
-    // out across PUs, which the per-step synchronisation rewards. The
-    // remap is memoized on the source graph, so repeated runs (sweeps
-    // over memory configs, back-to-back algorithms) pay for it once.
-    const std::shared_ptr<const Graph> balanced =
-        graph.hashed_remap_shared(config_.hash_balance_seed);
-    return run_with_schedule(*balanced, partitioner->partition(*balanced, p),
-                             program, trace, trace_pid);
-  }
-  return run_with_schedule(graph, partitioner->partition(graph, p), program,
-                           trace, trace_pid);
-}
-
-RunReport HyveMachine::run_with_schedule(const Graph& graph,
-                                         const Partitioning& schedule,
-                                         Algorithm algorithm,
-                                         obs::Trace* trace,
-                                         std::uint32_t trace_pid) const {
-  const auto program = make_program(algorithm);
-  return run_with_schedule(graph, schedule, *program, trace, trace_pid);
-}
-
-RunReport HyveMachine::run_with_schedule(const Graph& graph,
-                                         const Partitioning& schedule,
-                                         VertexProgram& program,
-                                         obs::Trace* trace,
-                                         std::uint32_t trace_pid) const {
+  // Simulate the hash-balanced layout (§4.3): block populations even
+  // out across PUs, which the per-step synchronisation rewards. The
+  // remap is memoized on the source graph, so repeated runs (sweeps
+  // over memory configs, back-to-back algorithms) pay for it once.
+  std::shared_ptr<const Graph> balanced;
+  if (config_.hash_balance)
+    balanced = graph.hashed_remap_shared(config_.hash_balance_seed);
+  const Graph& image = balanced ? *balanced : graph;
+  const Partitioning schedule = partitioner->partition(image, p);
   const FunctionalOutcome functional =
-      run_functional_phase(graph, schedule, program);
-  return run_with_functional(graph, schedule, program, functional, trace,
+      run_functional_phase(image, schedule, program);
+  return run_with_functional(image, schedule, program, functional, trace,
                              trace_pid);
 }
 

@@ -117,32 +117,20 @@ class HyveMachine {
                 obs::Trace* trace = nullptr,
                 std::uint32_t trace_pid = 1) const;
 
-  // Runs on a graph whose layout preparation was done by the caller —
-  // e.g. the memoising caches of src/exp. `graph` must already reflect
-  // config().hash_balance (i.e. be the hashed_remap image when that
-  // option is on) and `schedule` must partition `graph` into
-  // choose_num_intervals() intervals; both are checked. Produces a
-  // report identical to run()'s.
-  RunReport run_with_schedule(const Graph& graph, const Partitioning& schedule,
-                              Algorithm algorithm,
-                              obs::Trace* trace = nullptr,
-                              std::uint32_t trace_pid = 1) const;
-  RunReport run_with_schedule(const Graph& graph, const Partitioning& schedule,
-                              VertexProgram& program,
-                              obs::Trace* trace = nullptr,
-                              std::uint32_t trace_pid = 1) const;
-
-  // The two halves of run_with_schedule(), split so callers can memoize
-  // the functional phase across runs whose memory configuration differs
-  // but whose functional inputs agree.
+  // The two halves of run(), split so callers can memoize the functional
+  // phase across runs whose memory configuration differs but whose
+  // functional inputs agree (exp::run_cached does). Both take a graph
+  // whose layout preparation was done by the caller: `graph` must
+  // already reflect config().hash_balance (i.e. be the hashed_remap
+  // image when that option is on) and `schedule` must partition `graph`
+  // into choose_num_intervals() intervals; both are checked.
   //
   // run_functional_phase executes the vertex program for real (dense or
   // frontier-skipping per config().frontier_block_skipping) and returns
   // everything accounting needs. run_with_functional replays a
   // previously computed outcome through the architectural walk; the
   // outcome must have been produced by a machine with the same frontier
-  // mode and P (checked). Composing the two is byte-identical to
-  // run_with_schedule().
+  // mode and P (checked). Composing the two is byte-identical to run().
   FunctionalOutcome run_functional_phase(const Graph& graph,
                                          const Partitioning& schedule,
                                          VertexProgram& program) const;

@@ -3,16 +3,20 @@
 //
 // A SweepSpec declares a (configs × algorithms × graphs) grid; the
 // SweepEngine runs its cells on a pool of worker threads pulling from an
-// atomic work queue, sharing one GraphCache/PartitionCache so each graph
-// is loaded, hash-balanced and partitioned once per sweep instead of
-// once per cell. Cell execution is deterministic and results are handed
-// to the ResultSink in cell order regardless of thread count, so
-// `--jobs 8` output is byte-identical to `--jobs 1`.
+// atomic work queue, sharing one GraphCache/PartitionCache/
+// FunctionalCache so each graph is loaded, hash-balanced and partitioned
+// once per sweep instead of once per cell, and each vertex program runs
+// once per (graph image, algorithm, partitioner, P, frontier mode)
+// however many memory configs the grid sweeps. Cell execution is
+// deterministic and results are handed to the ResultSink in cell order
+// regardless of thread count, so `--jobs 8` output is byte-identical to
+// `--jobs 1`.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -72,19 +76,18 @@ void parallel_cells(std::size_t n, int jobs,
                     const std::function<void(std::size_t)>& fn);
 
 // Runs one cell through the caches. Produces a report identical to
-// HyveMachine(config).run(graph, algorithm). When `trace` is non-null
-// the run's phase spans land on tracks of process `trace_pid` (the
-// engine uses one pid per cell so sweep traces stay disentangled).
-// When `functional` is non-null the functional phase is memoised
-// through it: cells that agree on (graph image, algorithm, P, frontier
-// mode) — e.g. a sweep over memory technologies — run the vertex
-// program once and replay the outcome, with byte-identical reports.
+// HyveMachine(config).run(graph, algorithm). The functional phase is
+// memoised through `functional`: cells that agree on (graph image,
+// algorithm, partitioner, P, frontier mode) — e.g. a sweep over memory
+// technologies — run the vertex program once and replay the outcome.
+// When `trace` is non-null the run's phase spans land on tracks of
+// process `trace_pid` (the engine uses one pid per cell so sweep traces
+// stay disentangled).
 RunReport run_cached(GraphCache& graphs, PartitionCache& partitions,
-                     const HyveConfig& config, Algorithm algorithm,
-                     const std::string& graph_key,
+                     FunctionalCache& functional, const HyveConfig& config,
+                     Algorithm algorithm, const std::string& graph_key,
                      obs::Trace* trace = nullptr,
-                     std::uint32_t trace_pid = 1,
-                     FunctionalCache* functional = nullptr);
+                     std::uint32_t trace_pid = 1);
 
 // Thread-safe, order-stable record writer. The engine calls write() in
 // strict cell order; every record is round-tripped through
@@ -129,11 +132,23 @@ struct SweepResult {
 
 class SweepEngine {
  public:
-  // `functional` (optional) memoises functional phases across cells —
-  // see run_cached(). The caller owns it, like the two caches.
+  // Memoises functional phases across cells (see run_cached()) through
+  // a FunctionalCache the engine owns and keeps for its lifetime, so a
+  // second run() over the same cells replays every outcome.
+  SweepEngine(GraphCache& graphs, PartitionCache& partitions)
+      : graphs_(graphs),
+        partitions_(partitions),
+        owned_functional_(std::make_unique<FunctionalCache>()),
+        functional_(*owned_functional_) {}
+  // Memoises through a caller-owned cache instead, shared with other
+  // engines or run_cached() calls (the benches' process-wide cache).
   SweepEngine(GraphCache& graphs, PartitionCache& partitions,
-              FunctionalCache* functional = nullptr)
+              FunctionalCache& functional)
       : graphs_(graphs), partitions_(partitions), functional_(functional) {}
+
+  // The cache this engine memoises through (hits/misses for
+  // --cache-stats).
+  FunctionalCache& functional_cache() { return functional_; }
 
   // Runs every cell of `spec` and returns the reports in cell order. If
   // `sink` is non-null each result is also written to it, in cell order,
@@ -146,7 +161,8 @@ class SweepEngine {
  private:
   GraphCache& graphs_;
   PartitionCache& partitions_;
-  FunctionalCache* functional_;
+  std::unique_ptr<FunctionalCache> owned_functional_;  // null if shared
+  FunctionalCache& functional_;
 };
 
 }  // namespace hyve::exp

@@ -4,6 +4,7 @@
 
 #include <fstream>
 #include <map>
+#include <ostream>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -127,6 +128,12 @@ void HostProfiler::stop() {
   }
   enabled_.store(false, std::memory_order_relaxed);
   trace_.store(nullptr, std::memory_order_relaxed);
+}
+
+void HostProfiler::print_summary(std::ostream& os) {
+  std::istringstream dump(registry().dump_string());
+  for (std::string line; std::getline(dump, line);)
+    if (line.rfind("host.", 0) == 0) os << line << '\n';
 }
 
 double HostProfiler::now_ns() const {

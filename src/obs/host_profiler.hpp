@@ -39,6 +39,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <iosfwd>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -87,6 +88,11 @@ class HostProfiler {
   // Stops the sampler thread, records host.wall_us and the
   // host.rate.*_per_s gauges. Safe to call when not running.
   void stop();
+
+  // Writes the registry's host.* lines (sorted key=value, the --metrics
+  // format) to `os`: the summary --host-profile prints by itself when
+  // no full --metrics dump carries it.
+  static void print_summary(std::ostream& os);
 
   // Acquire pairs with start()'s release store: a thread that observes
   // the profiler enabled also observes the epoch it was started with.

@@ -89,9 +89,9 @@ TEST(GridResults, IndexesEngineResultsByAxis) {
       const RunReport& r = grid.at(c, a, 0);
       EXPECT_EQ(r.config_label, spec.configs[c].label);
       EXPECT_EQ(r.algorithm, algorithm_name(spec.algorithms[a]));
-      const RunReport direct = exp::run_cached(
-          bench::graph_cache(), bench::partition_cache(), spec.configs[c],
-          spec.algorithms[a], key);
+      const RunReport direct =
+          HyveMachine(spec.configs[c])
+              .run(bench::graph_cache().base(key), spec.algorithms[a]);
       EXPECT_EQ(report_to_json(r), report_to_json(direct));
     }
   }
@@ -140,15 +140,17 @@ TEST_F(BenchArgsDeathTest, SharedCommandLineRejectsBadInput) {
               "unknown dataset XX");
 }
 
-// The caches are build-once with no size knobs, and pattern reuse has
-// no switch: each removed flag is now an unknown option.
+// The caches are build-once with no size knobs, functional memoisation
+// is always on, and pattern reuse has no switch: each removed flag is
+// now an unknown option.
 TEST_F(BenchArgsDeathTest, RemovedCacheAndReuseFlagsAreUnknownOptions) {
   for (const char* flag : {"--graph-cache-mb", "--ooc-window-mb",
                            "--partition-cache", "--functional-cache-mb"})
     EXPECT_EXIT(parse({flag, "8"}), ::testing::ExitedWithCode(2),
                 std::string("unknown option ") + flag);
-  EXPECT_EXIT(parse({"--no-pattern-reuse"}), ::testing::ExitedWithCode(2),
-              "unknown option --no-pattern-reuse");
+  for (const char* flag : {"--no-pattern-reuse", "--functional-cache"})
+    EXPECT_EXIT(parse({flag}), ::testing::ExitedWithCode(2),
+                std::string("unknown option ") + flag);
 }
 
 }  // namespace

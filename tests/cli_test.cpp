@@ -7,6 +7,7 @@
 
 #include <sys/wait.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -110,11 +111,56 @@ int run_tool(const std::string& bin, const std::string& args) {
   return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
 }
 
-// The pattern-reuse switch is gone from both tools (reuse is always on;
-// results never depended on it): it is now an unknown option.
+// The pattern-reuse switch and the functional-cache opt-in are gone
+// (reuse and memoisation are always on; results never depended on
+// either): each is now an unknown option.
 TEST(Cli, RemovedToolFlagsAreUnknownOptions) {
   EXPECT_EQ(run_tool(HYVE_SIM_BIN, "--no-pattern-reuse"), 2);
   EXPECT_EQ(run_tool(HYVE_EXPERIMENTS_BIN, "--no-pattern-reuse"), 2);
+  EXPECT_EQ(run_tool(HYVE_EXPERIMENTS_BIN, "--functional-cache"), 2);
+}
+
+// hyve_sim takes exactly one graph source.
+TEST(Cli, SimNeedsExactlyOneGraphSource) {
+  EXPECT_EQ(run_tool(HYVE_SIM_BIN, "--algo bfs"), 2);
+  EXPECT_EQ(run_tool(HYVE_SIM_BIN, "--dataset YT --rmat 100x400"), 2);
+  EXPECT_EQ(run_tool(HYVE_SIM_BIN, "--rmat 100x400 --graph g.txt"), 2);
+  EXPECT_EQ(run_tool(HYVE_SIM_BIN, "--rmat 100x400 --algo bfs"), 0);
+}
+
+// A tool's stderr (stdout discarded).
+std::string tool_stderr(const std::string& bin, const std::string& args) {
+  const std::string cmd = bin + " " + args + " 2>&1 >/dev/null";
+  FILE* pipe = ::popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return {};
+  std::string out;
+  char buf[4096];
+  for (std::size_t n; (n = std::fread(buf, 1, sizeof buf, pipe)) > 0;)
+    out.append(buf, n);
+  ::pclose(pipe);
+  return out;
+}
+
+// --host-profile without --metrics prints its host.* summary by itself.
+// hyve_sim's profile covers graph generation, and a five-config grid
+// runs its vertex program once per algorithm and graph.
+TEST(Cli, HostProfileAlonePrintsItsSummary) {
+  const std::string sim =
+      tool_stderr(HYVE_SIM_BIN, "--rmat 2000x8000 --host-profile");
+  EXPECT_NE(sim.find("host.wall_us="), std::string::npos) << sim;
+  EXPECT_NE(sim.find("\nhost.span.rmat.generate.count=1\n"),
+            std::string::npos)
+      << sim;
+  EXPECT_EQ(sim.find("sim."), std::string::npos) << sim;
+
+  const std::string grid = tool_stderr(
+      HYVE_EXPERIMENTS_BIN, "--datasets YT --algos bfs,pr --host-profile");
+  EXPECT_NE(grid.find("\nhost.span.machine.functional.count=2\n"),
+            std::string::npos)
+      << grid;
+  EXPECT_NE(grid.find("\nhost.span.machine.run.count=10\n"),
+            std::string::npos)
+      << grid;
 }
 #endif
 

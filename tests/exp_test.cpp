@@ -10,15 +10,18 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/report_io.hpp"
 #include "exp/sweep.hpp"
 #include "graph/datasets.hpp"
 #include "graph/generators.hpp"
+#include "obs/trace.hpp"
 #include "util/check.hpp"
 
 namespace hyve {
@@ -76,6 +79,7 @@ TEST(SweepEngine, CachedRunMatchesUncachedRun) {
   exp::GraphCache graphs;
   add_test_graphs(graphs);
   exp::PartitionCache partitions;
+  exp::FunctionalCache functional;
 
   std::vector<HyveConfig> configs = {HyveConfig::hyve_opt(),
                                      HyveConfig::hyve(),
@@ -92,7 +96,7 @@ TEST(SweepEngine, CachedRunMatchesUncachedRun) {
   for (const HyveConfig& cfg : configs) {
     for (const Algorithm algo : {Algorithm::kBfs, Algorithm::kPageRank}) {
       const RunReport cached =
-          exp::run_cached(graphs, partitions, cfg, algo, "g1");
+          exp::run_cached(graphs, partitions, functional, cfg, algo, "g1");
       const RunReport direct =
           HyveMachine(cfg).run(graphs.base("g1"), algo);
       EXPECT_EQ(report_to_json(cached), report_to_json(direct))
@@ -572,47 +576,136 @@ std::vector<HyveConfig> memory_only_configs() {
   return configs;
 }
 
+// The Fig. 16 accelerator configs and the memory-only configs, each
+// also with frontier block skipping where the config allows it (it needs
+// the on-chip vertex level).
+std::vector<HyveConfig> dense_and_frontier_configs() {
+  std::vector<HyveConfig> configs = fig16_accelerator_configs();
+  for (const HyveConfig& cfg : memory_only_configs()) configs.push_back(cfg);
+  const std::size_t dense = configs.size();
+  for (std::size_t i = 0; i < dense; ++i) {
+    if (!configs[i].has_onchip_vertex_memory()) continue;
+    HyveConfig frontier = configs[i];
+    frontier.frontier_block_skipping = true;
+    frontier.label += "+frontier";
+    configs.push_back(frontier);
+  }
+  return configs;
+}
+
+// Distinct functional inputs of a grid, computed from the configs
+// alone: (graph image, algorithm, P, frontier mode). The graph image is
+// the graph key plus the balance seed when hash balancing is on.
+std::size_t distinct_functional_inputs(const exp::SweepSpec& spec,
+                                       exp::GraphCache& graphs) {
+  std::set<std::tuple<std::string, std::string, std::uint32_t, bool>> keys;
+  for (const exp::SweepCell& cell : exp::expand(spec)) {
+    const HyveConfig& cfg = cell.config;
+    std::string image = cell.graph_key;
+    std::shared_ptr<const Graph> graph = graphs.acquire(cell.graph_key);
+    if (cfg.hash_balance) {
+      image += "/" + std::to_string(cfg.hash_balance_seed);
+      graph = graph->hashed_remap_shared(cfg.hash_balance_seed);
+    }
+    const auto program = make_program(cell.algorithm);
+    keys.emplace(image, program->name(),
+                 HyveMachine(cfg).choose_num_intervals(
+                     *graph, program->vertex_value_bytes()),
+                 cfg.frontier_block_skipping);
+  }
+  return keys.size();
+}
+
+// The sweep's own pid-0 track (the analytic graph-cache hit rate) is the
+// one part of a sweep trace that per-cell reference runs never write.
+std::string without_sweep_track(const obs::Trace& trace) {
+  std::ostringstream os;
+  trace.write(os);
+  std::istringstream in(os.str());
+  std::string kept;
+  for (std::string line; std::getline(in, line);)
+    if (line.find("\"pid\":0,") == std::string::npos) kept += line + '\n';
+  return kept;
+}
+
 TEST(FunctionalCache, MemoizesAcrossMemoryConfigsWithIdenticalOutput) {
   exp::SweepSpec spec;
-  spec.configs = memory_only_configs();
-  spec.algorithms = {Algorithm::kBfs, Algorithm::kPageRank};
+  spec.configs = dense_and_frontier_configs();
+  spec.algorithms.assign(std::begin(kAllAlgorithms), std::end(kAllAlgorithms));
   spec.graphs = {"g1"};
-  ASSERT_GE(spec.configs.size(), 8u);
+  ASSERT_GE(spec.configs.size(), 20u);
 
-  const auto run = [&](int jobs, bool with_cache, double* hit_rate) {
+  // Reference: every cell run from scratch through HyveMachine::run,
+  // with the trace pid the engine gives that cell.
+  exp::GraphCache reference_graphs;
+  add_test_graphs(reference_graphs);
+  std::ostringstream reference;
+  exp::ResultSink reference_sink(reference, exp::ResultSink::Format::kJsonl);
+  obs::Trace reference_trace;
+  for (const exp::SweepCell& cell : exp::expand(spec))
+    reference_sink.write(
+        cell, HyveMachine(cell.config)
+                  .run(reference_graphs.base(cell.graph_key), cell.algorithm,
+                       &reference_trace,
+                       static_cast<std::uint32_t>(cell.index) + 1));
+  const std::string reference_trace_bytes =
+      without_sweep_track(reference_trace);
+  ASSERT_NE(reference_trace_bytes.find("\"pid\":1,"), std::string::npos);
+  const std::size_t expected_misses =
+      distinct_functional_inputs(spec, reference_graphs);
+  // Fewer vertex programs than cells: most cells replay an outcome.
+  ASSERT_LT(4 * expected_misses, spec.size());
+
+  for (const int jobs : {1, 8}) {
+    SCOPED_TRACE(::testing::Message() << "jobs " << jobs);
     exp::GraphCache graphs;
     add_test_graphs(graphs);
     exp::PartitionCache partitions;
     exp::FunctionalCache functional;
-    exp::SweepEngine engine(graphs, partitions,
-                            with_cache ? &functional : nullptr);
+    exp::SweepEngine engine(graphs, partitions, functional);
     std::ostringstream os;
     exp::ResultSink sink(os, exp::ResultSink::Format::kJsonl);
+    obs::Trace trace;
     exp::SweepOptions options;
     options.jobs = jobs;
+    options.trace = &trace;
     engine.run(spec, options, &sink);
-    if (hit_rate != nullptr) *hit_rate = functional.hit_rate();
-    if (with_cache) {
-      // One outcome per (algorithm, graph): 2 misses, 14 hits here.
-      EXPECT_EQ(functional.misses(),
-                spec.algorithms.size() * spec.graphs.size());
-    }
-    return os.str();
-  };
+    // Byte-identical validated report JSON and trace: the memoised
+    // functional outcome feeds the same accounting walk.
+    EXPECT_EQ(os.str(), reference.str());
+    EXPECT_EQ(without_sweep_track(trace), reference_trace_bytes);
+    EXPECT_EQ(functional.misses(), expected_misses);
+    EXPECT_EQ(functional.hits(), spec.size() - expected_misses);
+  }
+}
 
-  double hit_rate_serial = 0;
-  double hit_rate_parallel = 0;
-  const std::string uncached = run(1, false, nullptr);
-  const std::string cached_serial = run(1, true, &hit_rate_serial);
-  const std::string cached_parallel = run(8, true, &hit_rate_parallel);
-  EXPECT_FALSE(uncached.empty());
-  // Byte-identical with the cache on or off, serial or parallel: the
-  // memoised functional outcome feeds the same accounting walk.
-  EXPECT_EQ(uncached, cached_serial);
-  EXPECT_EQ(uncached, cached_parallel);
-  // The acceptance bar: a repeated-config sweep hits at least 75%.
-  EXPECT_GE(hit_rate_serial, 0.75);
-  EXPECT_GE(hit_rate_parallel, 0.75);
+TEST(SweepEngine, TwoArgumentEngineMemoisesFunctionalPhases) {
+  exp::GraphCache graphs;
+  add_test_graphs(graphs);
+  exp::PartitionCache partitions;
+  exp::SweepEngine engine(graphs, partitions);
+  EXPECT_EQ(engine.functional_cache().misses(), 0u);
+
+  exp::SweepSpec spec = small_spec();
+  HyveConfig frontier = HyveConfig::hyve_opt();
+  frontier.frontier_block_skipping = true;
+  frontier.label = "frontier";
+  spec.configs.push_back(frontier);
+  exp::SweepOptions options;
+  options.jobs = 4;
+  engine.run(spec, options);
+
+  // One vertex-program run per (graph image, algorithm, P, frontier
+  // mode); every other cell replays it.
+  const std::size_t inputs = distinct_functional_inputs(spec, graphs);
+  EXPECT_LT(inputs, spec.size());
+  EXPECT_EQ(engine.functional_cache().misses(), inputs);
+  EXPECT_EQ(engine.functional_cache().hits(), spec.size() - inputs);
+
+  // The engine keeps its cache across runs: a second sweep only hits.
+  engine.run(spec, options);
+  EXPECT_EQ(engine.functional_cache().misses(), inputs);
+  EXPECT_EQ(engine.functional_cache().hits(), 2 * spec.size() - inputs);
 }
 
 TEST(FunctionalCache, FrontierAndDenseOutcomesGetDistinctEntries) {
@@ -625,16 +718,15 @@ TEST(FunctionalCache, FrontierAndDenseOutcomesGetDistinctEntries) {
   HyveConfig frontier = HyveConfig::hyve_opt();
   frontier.frontier_block_skipping = true;
   frontier.label = "frontier";
-  exp::run_cached(graphs, partitions, dense, Algorithm::kBfs, "g1",
-                  nullptr, 1, &functional);
-  exp::run_cached(graphs, partitions, frontier, Algorithm::kBfs, "g1",
-                  nullptr, 1, &functional);
+  exp::run_cached(graphs, partitions, functional, dense, Algorithm::kBfs,
+                  "g1");
+  exp::run_cached(graphs, partitions, functional, frontier,
+                  Algorithm::kBfs, "g1");
   EXPECT_EQ(functional.misses(), 2u);
   EXPECT_EQ(functional.hits(), 0u);
   // Replays are hits, and reports stay equal to direct runs.
-  const RunReport cached = exp::run_cached(graphs, partitions, frontier,
-                                           Algorithm::kBfs, "g1", nullptr,
-                                           1, &functional);
+  const RunReport cached = exp::run_cached(
+      graphs, partitions, functional, frontier, Algorithm::kBfs, "g1");
   EXPECT_EQ(functional.hits(), 1u);
   const RunReport direct =
       HyveMachine(frontier).run(graphs.base("g1"), Algorithm::kBfs);

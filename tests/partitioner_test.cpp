@@ -455,8 +455,7 @@ std::string sweep_output(const exp::SweepSpec& spec, int jobs) {
   exp::GraphCache graphs;
   graphs.add("tiny", [] { return generate_rmat(400, 2400, {}, 59); });
   exp::PartitionCache partitions;
-  exp::FunctionalCache functional;
-  exp::SweepEngine engine(graphs, partitions, &functional);
+  exp::SweepEngine engine(graphs, partitions);
   std::ostringstream os;
   exp::ResultSink sink(os, exp::ResultSink::Format::kJsonl);
   exp::SweepOptions options;

@@ -11,10 +11,11 @@
 //   hyve_experiments --partitioner interval,hep,splitmerge
 //   hyve_experiments --frontier           # add the block-skipping variant
 //   hyve_experiments --format csv         # spreadsheet-friendly table
-//   hyve_experiments --functional-cache   # memoise functional phases
+//   hyve_experiments --cache-stats        # cache hits/builds to stderr
 //
-// Output is deterministic and order-stable for any --jobs value, and
-// byte-identical with the functional cache on or off.
+// Each vertex program runs once per (graph image, algorithm, P,
+// frontier mode) and is replayed for every memory config. Output is
+// deterministic and order-stable for any --jobs value.
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -39,7 +40,6 @@ int main(int argc, char** argv) {
   options.jobs = 1;  // historical default: serial
   auto format = exp::ResultSink::Format::kJsonl;
   bool metrics = false;
-  bool functional_cache = false;
   bool cache_stats = false;
   bool host_profile = false;
   std::string trace_path;
@@ -101,10 +101,6 @@ int main(int argc, char** argv) {
                   if (!f) parser.fail("unknown format " + v);
                   format = *f;
                 });
-  parser.flag("--functional-cache",
-              "memoise functional phases across cells that share a graph "
-              "image, algorithm, P and frontier mode (identical output)",
-              &functional_cache);
   parser.flag("--cache-stats",
               "print graph/partition/functional cache statistics to stderr",
               &cache_stats);
@@ -175,9 +171,7 @@ int main(int argc, char** argv) {
 
     exp::GraphCache graphs;
     exp::PartitionCache partitions;
-    exp::FunctionalCache functional;
-    exp::SweepEngine engine(graphs, partitions,
-                            functional_cache ? &functional : nullptr);
+    exp::SweepEngine engine(graphs, partitions);
     exp::ResultSink sink(std::cout, format);
     engine.run(spec, options, &sink);
 
@@ -192,12 +186,17 @@ int main(int argc, char** argv) {
         std::cerr << "partition cache[" << strategy
                   << "]: hits=" << stats.hits << " builds=" << stats.builds
                   << "\n";
-      if (functional_cache)
-        std::cerr << "functional cache: hits=" << functional.hits()
-                  << " misses=" << functional.misses()
-                  << " hit_rate=" << functional.hit_rate() << "\n";
+      const exp::FunctionalCache& functional = engine.functional_cache();
+      std::cerr << "functional cache: hits=" << functional.hits()
+                << " misses=" << functional.misses()
+                << " hit_rate=" << functional.hit_rate() << "\n";
     }
-    if (metrics) obs::registry().dump(std::cerr);
+    // The full dump carries the host.* lines; without it --host-profile
+    // prints them on its own.
+    if (metrics)
+      obs::registry().dump(std::cerr);
+    else if (host_profile)
+      obs::HostProfiler::print_summary(std::cerr);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

@@ -16,6 +16,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include <unistd.h>
 
@@ -97,7 +98,6 @@ int run_metrics_census() {
   // included), host.span.machine.* / partition.build / sweep.cell.
   exp::GraphCache graphs;
   exp::PartitionCache partitions;
-  exp::FunctionalCache functional;
   graphs.add("census", std::move(tiny));
   exp::SweepSpec spec;
   spec.configs = fig16_accelerator_configs();
@@ -106,7 +106,7 @@ int run_metrics_census() {
   for (const char* name : {"interval", "hep:tau=2", "splitmerge:chunks=2"})
     spec.partitioners.push_back(*parse_partitioner(name));
   spec.graphs = {"census"};
-  exp::SweepEngine engine(graphs, partitions, &functional);
+  exp::SweepEngine engine(graphs, partitions);
   exp::SweepOptions options;
   options.jobs = 1;
   engine.run(spec, options);
@@ -192,10 +192,12 @@ int run_metrics_census() {
 int main(int argc, char** argv) {
   using namespace hyve;
 
-  std::optional<Graph> graph;
+  // Graph construction is deferred to after parsing so --graph-format,
+  // --ooc-window-mb and --metrics apply regardless of flag order, and so
+  // --host-profile times dataset and R-MAT generation too.
+  std::optional<DatasetId> dataset;
+  std::optional<std::pair<VertexId, std::uint64_t>> rmat;
   std::string graph_label = "?";
-  // --graph loading is deferred to after parsing so --graph-format,
-  // --ooc-window-mb and --metrics apply regardless of flag order.
   std::string graph_path;
   std::string graph_format = "auto";
   std::size_t ooc_window_bytes = 0;
@@ -217,10 +219,9 @@ int main(int argc, char** argv) {
       "simulate one algorithm on one graph under one machine config");
   parser.option("--dataset", "YT|WK|AS|LJ|TW", "built-in synthetic dataset",
                 [&](const std::string& v) {
-                  const auto id = parse_dataset(v);
-                  if (!id) parser.fail("unknown dataset " + v);
-                  graph = dataset_graph(*id);
-                  graph_label = dataset_name(*id);
+                  dataset = parse_dataset(v);
+                  if (!dataset) parser.fail("unknown dataset " + v);
+                  graph_label = dataset_name(*dataset);
                 });
   parser.option("--graph", "PATH",
                 "graph file (edge-list text, .bin cache, or HyVEgrf2 "
@@ -251,8 +252,8 @@ int main(int argc, char** argv) {
                                                 spec.substr(0, x), 1);
                   const auto e = cli::parse_int(parser, "--rmat edges",
                                                 spec.substr(x + 1), 1);
-                  graph = generate_rmat(static_cast<VertexId>(v),
-                                        static_cast<std::uint64_t>(e), {}, 1);
+                  rmat.emplace(static_cast<VertexId>(v),
+                               static_cast<std::uint64_t>(e));
                   graph_label = "rmat:" + spec;
                 });
   parser.option("--algo", "bfs|cc|pr|sssp|spmv", "algorithm (default pr)",
@@ -334,44 +335,21 @@ int main(int argc, char** argv) {
     parser.parse(argc, argv);
 
     if (list_metrics) return run_metrics_census();
+    const int sources = static_cast<int>(dataset.has_value()) +
+                        static_cast<int>(rmat.has_value()) +
+                        static_cast<int>(!graph_path.empty());
+    if (sources == 0) parser.fail("no input graph (--dataset/--graph/--rmat)");
+    if (sources > 1) parser.fail("choose one of --dataset/--graph/--rmat");
 
-    // Enable telemetry before the graph loads so the sim.ooc.* window
-    // counters cover the streaming load itself.
+    // Enable telemetry and start the profiler before the graph is built
+    // so the sim.ooc.* window counters cover the streaming load and
+    // host.wall_us covers dataset/R-MAT generation.
     if (metrics || host_profile || live_opts) obs::set_enabled(true);
     if (live_opts) {
       live_opts->bench = "hyve_sim";
       obs::live_telemetry().start(*live_opts);
       obs::live_telemetry().add_total_cells(1);
     }
-
-    if (!graph_path.empty()) {
-      if (graph) parser.fail("choose one of --dataset/--graph/--rmat");
-      const bool is_blocked =
-          graph_format == "blocked" ||
-          (graph_format == "auto" &&
-           sniff_magic(graph_path) == blocked::kMagic);
-      if (is_blocked) {
-        BlockedReaderOptions reader_options;
-        reader_options.window_bytes = ooc_window_bytes;
-        BlockedGraphReader reader(graph_path, reader_options);
-        // Materialise through the bounded window: peak decoded residency
-        // stays within --ooc-window-mb (reported as
-        // sim.ooc.window_peak_bytes) while the simulator gets the same
-        // Graph the in-memory path builds — reports are byte-identical.
-        graph = materialize(reader);
-      } else if (graph_format == "bin") {
-        graph = load_graph_binary(graph_path);
-      } else if (graph_format == "text") {
-        graph = load_edge_list_text(graph_path);
-      } else {
-        graph = load_graph_auto(graph_path);
-      }
-      graph_label = graph_path;
-    }
-    if (!graph)
-      parser.fail("no input graph (--dataset/--graph/--rmat)");
-
-    if (partitioner) config.set_partitioner(*partitioner);
     std::shared_ptr<obs::Trace> trace;
     if (!trace_path.empty()) {
       trace = std::make_shared<obs::Trace>();
@@ -395,6 +373,41 @@ int main(int argc, char** argv) {
             if (obs::enabled()) obs::registry().dump(std::cerr);
           });
     }
+
+    // The dataset store keeps its graphs for the process; other sources
+    // are built into `owned`.
+    std::optional<Graph> owned;
+    const Graph* graph = nullptr;
+    if (dataset) {
+      graph = &dataset_graph(*dataset);
+    } else if (rmat) {
+      owned = generate_rmat(rmat->first, rmat->second, {}, 1);
+    } else {
+      const bool is_blocked =
+          graph_format == "blocked" ||
+          (graph_format == "auto" &&
+           sniff_magic(graph_path) == blocked::kMagic);
+      if (is_blocked) {
+        BlockedReaderOptions reader_options;
+        reader_options.window_bytes = ooc_window_bytes;
+        BlockedGraphReader reader(graph_path, reader_options);
+        // Materialise through the bounded window: peak decoded residency
+        // stays within --ooc-window-mb (reported as
+        // sim.ooc.window_peak_bytes) while the simulator gets the same
+        // Graph the in-memory path builds — reports are byte-identical.
+        owned = materialize(reader);
+      } else if (graph_format == "bin") {
+        owned = load_graph_binary(graph_path);
+      } else if (graph_format == "text") {
+        owned = load_edge_list_text(graph_path);
+      } else {
+        owned = load_graph_auto(graph_path);
+      }
+      graph_label = graph_path;
+    }
+    if (owned) graph = &*owned;
+
+    if (partitioner) config.set_partitioner(*partitioner);
 
     const HyveMachine machine(config);
     const RunReport r = machine.run(*graph, algo, trace.get());
@@ -473,7 +486,12 @@ int main(int argc, char** argv) {
                 << Table::num(100.0 * a.power_gate_overhead(), 2) << "%\n";
     }
 
-    if (metrics) obs::registry().dump(std::cerr);
+    // The full dump carries the host.* lines; without it --host-profile
+    // prints them on its own.
+    if (metrics)
+      obs::registry().dump(std::cerr);
+    else if (host_profile)
+      obs::HostProfiler::print_summary(std::cerr);
     if (obs::live_telemetry().enabled()) obs::live_telemetry().stop("done");
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
