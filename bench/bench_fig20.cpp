@@ -56,20 +56,23 @@ int main(int argc, char** argv) {
         }
 
         // Stopwatch serialised against other cells so --jobs > 1 cannot
-        // perturb the single-thread measurement.
+        // perturb the single-thread measurement. Each layout's store is
+        // built once; every rep restores it from that pristine copy (a
+        // copy keeps each block's slack reservation), so the reps time
+        // request application, not construction.
         const std::scoped_lock timing(bench::timing_mutex());
-        Cell cell{0, 0};
-        for (int rep = 0; rep < 3; ++rep) {
-          DynamicGraphStore hyve_store(g, hyve_opts);
-          DynamicGraphStore graphr_store(g, graphr_opts);
-          cell.hyve_mps = std::max(
-              cell.hyve_mps,
-              apply_requests(hyve_store, requests).millions_per_second());
-          cell.graphr_mps = std::max(
-              cell.graphr_mps,
-              apply_requests(graphr_store, requests).millions_per_second());
-        }
-        return cell;
+        auto best_rate = [&](const DynamicGraphOptions& layout) {
+          const DynamicGraphStore pristine(g, layout);
+          DynamicGraphStore store = pristine;
+          double best = 0;
+          for (int rep = 0; rep < 3; ++rep) {
+            if (rep > 0) store = pristine;
+            best = std::max(
+                best, apply_requests(store, requests).millions_per_second());
+          }
+          return best;
+        };
+        return Cell{best_rate(hyve_opts), best_rate(graphr_opts)};
       });
 
   Table table({"dataset", "HyVE (M req/s)", "GraphR (M req/s)",
@@ -86,18 +89,23 @@ int main(int argc, char** argv) {
     hyve_rates.push_back(cell.hyve_mps);
   }
   table.print(std::cout);
-  std::cout << "average HyVE/GraphR: " << Table::num(bench::geomean(ratios), 2)
-            << "x; best HyVE rate: "
-            << Table::num(*std::max_element(hyve_rates.begin(),
-                                            hyve_rates.end()),
-                          2)
+  const auto [slowest, fastest] =
+      std::minmax_element(hyve_rates.begin(), hyve_rates.end());
+  const double average_ratio = bench::geomean(ratios);
+  const bool faster_everywhere = std::all_of(
+      ratios.begin(), ratios.end(), [](double r) { return r > 1.0; });
+  std::cout << "average HyVE/GraphR: " << Table::num(average_ratio, 2)
+            << "x; best HyVE rate: " << Table::num(*fastest, 2)
             << " M req/s\n";
 
   bench::paper_note("up to 46.98 M edges/s for HyVE, 8.04x over GraphR");
   bench::measured_note(
-      "HyVE's direct-indexed slack layout sustains tens of millions of "
-      "requests per second and beats the hashed 8x8 grid on every dataset "
-      "(absolute rates depend on the host CPU)");
+      "HyVE applies " + Table::num(*slowest, 2) + "-" +
+      Table::num(*fastest, 2) + " M req/s, " + Table::num(average_ratio, 2) +
+      "x the hashed 8x8 grid on average; faster on every dataset: " +
+      (faster_everywhere ? "yes" : "NO") +
+      (opts.smoke ? " (--smoke rates are fixed proxies)"
+                  : " (absolute rates depend on the host CPU)"));
   opts.finish();
   return 0;
 }

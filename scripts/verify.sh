@@ -8,7 +8,8 @@
 # against the in-memory run), a live-telemetry smoke run (--live-status snapshots,
 # hyve_top, and the SIGTERM flight-record path), a docs/METRICS.md
 # drift check, a kernel-regression smoke run (bench_micro's built-in
-# layout-equivalence gate), the full suite in a Debug
+# layout-equivalence gate), a dynamic-graph smoke run (the §5 example
+# against its golden output), the full suite in a Debug
 # build under AddressSanitizer + UndefinedBehaviorSanitizer, then the
 # sweep-engine concurrency tests under ThreadSanitizer.
 set -eu
@@ -272,6 +273,18 @@ cmp "$obs_dir/micro_j1.nohost" "$obs_dir/micro_j8.nohost" ||
   { echo "kernel-regression: --jobs 1 and --jobs 8 reports differ" >&2
     exit 1; }
 echo "kernel-regression: OK"
+
+# dynamic-smoke: dynamic_social_network's stdout, minus the wall-clock
+# requests/s column, must match the committed golden file. The example
+# draws its delete requests from the raw snapshot(), so this pins the
+# store's snapshot edge sequence (which slot each delete frees) end to
+# end, through incremental and batch CC and the simulated energy.
+./build/examples/dynamic_social_network | cut -d'|' -f1-3,5- \
+  > "$obs_dir/dynamic.txt"
+cmp "$obs_dir/dynamic.txt" tests/golden/dynamic_social_network.txt ||
+  { echo "dynamic-smoke: output differs from" \
+         "tests/golden/dynamic_social_network.txt" >&2; exit 1; }
+echo "dynamic-smoke: OK"
 
 # debug-asan: the whole suite in a Debug build (NDEBUG undefined, so the
 # debug-only contract checks and the tests gated on them run) under

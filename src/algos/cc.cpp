@@ -1,6 +1,5 @@
 #include "algos/cc.hpp"
 
-#include <algorithm>
 #include <numeric>
 
 namespace hyve {
@@ -48,12 +47,12 @@ bool CcProgram::end_iteration(std::uint32_t) {
 }
 
 Graph symmetrized(const Graph& g) {
-  std::vector<Edge> edges = g.edges();
-  edges.reserve(edges.size() * 2);
+  std::vector<Edge> edges;
+  edges.reserve(2 * g.num_edges());
+  edges.insert(edges.end(), g.edges().begin(), g.edges().end());
   for (const Edge& e : g.edges())
     if (e.src != e.dst) edges.push_back({e.dst, e.src});
-  std::sort(edges.begin(), edges.end());
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  sort_unique_edges(edges, g.num_vertices());
   return Graph(g.num_vertices(), std::move(edges));
 }
 

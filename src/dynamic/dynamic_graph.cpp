@@ -1,6 +1,7 @@
 #include "dynamic/dynamic_graph.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "util/check.hpp"
@@ -25,7 +26,7 @@ DynamicGraphStore::DynamicGraphStore(const Graph& initial,
 
   // Initial placement with per-block slack reservation (one-shot
   // preprocessing; not counted in preprocess_count_).
-  locator_.reserve(initial.num_edges());
+  locator_reset(initial.num_edges());
   for (const Edge& e : initial.edges()) {
     Block& b = block_for(e.src, e.dst);
     b.edges.push_back(e);
@@ -75,14 +76,17 @@ bool DynamicGraphStore::add_edge(Edge e) {
 
 bool DynamicGraphStore::delete_edge(Edge e) {
   if (e.src >= num_vertices_ || e.dst >= num_vertices_) return false;
-  std::uint32_t slot = 0;
-  if (!locator_find(e, slot)) return false;
+  std::size_t bucket = 0;
+  if (!locator_find(e, bucket)) return false;
+  const std::uint32_t slot = locator_slots_[bucket];
+  locator_erase(bucket);
   Block& b = block_for(e.src, e.dst);
-  locator_remove(e, slot);
   // §5: replace the edge with the block's last edge, free the tail slot.
   const Edge moved = b.edges.back();
   const auto last = static_cast<std::uint32_t>(b.edges.size() - 1);
   if (slot != last) {
+    // Re-added, not updated in place: the moved entry becomes the newest
+    // for its edge.
     locator_remove(moved, last);
     b.edges[slot] = moved;
     locator_add(moved, slot);
@@ -92,26 +96,93 @@ bool DynamicGraphStore::delete_edge(Edge e) {
   return true;
 }
 
+std::size_t DynamicGraphStore::locator_home(std::uint64_t key) const {
+  key = (key ^ (key >> 31)) * 0x9E3779B97F4A7C15ULL;
+  return static_cast<std::size_t>(key >> locator_shift_);
+}
+
+void DynamicGraphStore::locator_reset(std::uint64_t expected_entries) {
+  const std::uint64_t buckets =
+      std::bit_ceil(std::max<std::uint64_t>(16, 2 * expected_entries));
+  locator_keys_.assign(buckets, kEmptyKey);
+  locator_slots_.assign(buckets, 0);
+  locator_size_ = 0;
+  locator_shift_ = 64 - std::countr_zero(buckets);
+}
+
 void DynamicGraphStore::locator_add(Edge e, std::uint32_t slot) {
-  locator_.emplace(pack(e), slot);
+  if (2 * (locator_size_ + 1) > locator_keys_.size()) {
+    // Grow 2x. Walk the old table from just past a free bucket, so every
+    // probe run is re-inserted front to back and equal keys keep their
+    // relative order.
+    const std::vector<std::uint64_t> keys = std::move(locator_keys_);
+    const std::vector<std::uint32_t> slots = std::move(locator_slots_);
+    locator_reset(keys.size());
+    const std::size_t old_mask = keys.size() - 1;
+    const auto start = static_cast<std::size_t>(
+        std::find(keys.begin(), keys.end(), kEmptyKey) - keys.begin());
+    for (std::size_t n = 1; n <= keys.size(); ++n) {
+      const std::size_t i = (start + n) & old_mask;
+      if (keys[i] != kEmptyKey) locator_insert(keys[i], slots[i]);
+    }
+  }
+  locator_insert(pack(e), slot);
+}
+
+void DynamicGraphStore::locator_insert(std::uint64_t key,
+                                       std::uint32_t slot) {
+  const std::size_t mask = locator_keys_.size() - 1;
+  std::size_t i = locator_home(key);
+  while (locator_keys_[i] != kEmptyKey) i = (i + 1) & mask;
+  locator_keys_[i] = key;
+  locator_slots_[i] = slot;
+  ++locator_size_;
 }
 
 bool DynamicGraphStore::locator_remove(Edge e, std::uint32_t slot) {
-  auto [first, last] = locator_.equal_range(pack(e));
-  for (auto it = first; it != last; ++it) {
-    if (it->second == slot) {
-      locator_.erase(it);
+  const std::uint64_t key = pack(e);
+  const std::size_t mask = locator_keys_.size() - 1;
+  for (std::size_t i = locator_home(key); locator_keys_[i] != kEmptyKey;
+       i = (i + 1) & mask) {
+    if (locator_keys_[i] == key && locator_slots_[i] == slot) {
+      locator_erase(i);
       return true;
     }
   }
   return false;
 }
 
-bool DynamicGraphStore::locator_find(Edge e, std::uint32_t& slot) const {
-  const auto it = locator_.find(pack(e));
-  if (it == locator_.end()) return false;
-  slot = it->second;
-  return true;
+bool DynamicGraphStore::locator_find(Edge e, std::size_t& bucket) const {
+  const std::uint64_t key = pack(e);
+  const std::size_t mask = locator_keys_.size() - 1;
+  bool found = false;
+  // The whole probe run is scanned: the last match is the newest entry.
+  for (std::size_t i = locator_home(key); locator_keys_[i] != kEmptyKey;
+       i = (i + 1) & mask) {
+    if (locator_keys_[i] == key) {
+      bucket = i;
+      found = true;
+    }
+  }
+  return found;
+}
+
+void DynamicGraphStore::locator_erase(std::size_t bucket) {
+  // Backward-shift deletion: each later entry of the run moves into the
+  // hole unless the hole lies before its home bucket. Entries only move
+  // toward their home, in run order, so equal keys stay in order.
+  const std::size_t mask = locator_keys_.size() - 1;
+  std::size_t hole = bucket;
+  for (std::size_t j = (hole + 1) & mask; locator_keys_[j] != kEmptyKey;
+       j = (j + 1) & mask) {
+    const std::size_t home = locator_home(locator_keys_[j]);
+    if (((j - home) & mask) < ((j - hole) & mask)) continue;
+    locator_keys_[hole] = locator_keys_[j];
+    locator_slots_[hole] = locator_slots_[j];
+    hole = j;
+  }
+  locator_keys_[hole] = kEmptyKey;
+  --locator_size_;
 }
 
 VertexId DynamicGraphStore::add_vertex() {
@@ -138,10 +209,8 @@ bool DynamicGraphStore::is_vertex_valid(VertexId v) const {
 
 void DynamicGraphStore::rebuild(VertexId new_num_vertices) {
   ++preprocess_count_;
-  Graph current = snapshot();
   DynamicGraphStore fresh(
-      Graph(std::max(new_num_vertices, current.num_vertices()),
-            current.edges()),
+      Graph(std::max(new_num_vertices, num_vertices_), collect_edges()),
       options_);
   fresh.num_vertices_ = num_vertices_;  // caller increments afterwards
   fresh.preprocess_count_ = preprocess_count_;
@@ -151,17 +220,17 @@ void DynamicGraphStore::rebuild(VertexId new_num_vertices) {
   *this = std::move(fresh);
 }
 
-Graph DynamicGraphStore::snapshot() const {
+std::vector<Edge> DynamicGraphStore::collect_edges() const {
   std::vector<Edge> edges;
   edges.reserve(num_edges_);
-  if (options_.hashed_block_directory) {
-    for (const auto& [key, b] : hashed_blocks_)
-      edges.insert(edges.end(), b.edges.begin(), b.edges.end());
-  } else {
-    for (const Block& b : dense_blocks_)
-      edges.insert(edges.end(), b.edges.begin(), b.edges.end());
-  }
-  return Graph(num_vertices_, std::move(edges));
+  for_each_block([&](const Block& b) {
+    edges.insert(edges.end(), b.edges.begin(), b.edges.end());
+  });
+  return edges;
+}
+
+Graph DynamicGraphStore::snapshot() const {
+  return Graph(num_vertices_, collect_edges());
 }
 
 }  // namespace hyve

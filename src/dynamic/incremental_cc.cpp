@@ -56,10 +56,9 @@ void IncrementalCc::on_delete_vertex(VertexId) {
 
 void IncrementalCc::recompute() {
   ++recompute_count_;
-  const Graph snapshot = store_->snapshot();
-  parent_.resize(snapshot.num_vertices());
+  parent_.resize(store_->num_vertices());
   std::iota(parent_.begin(), parent_.end(), VertexId{0});
-  for (const Edge& e : snapshot.edges()) merge(e.src, e.dst);
+  store_->for_each_edge([&](const Edge& e) { merge(e.src, e.dst); });
   recompute_pending_ = false;
 }
 

@@ -8,7 +8,7 @@
 //   * add vertex  — new singleton component;
 //   * delete edge / delete vertex — connectivity may split, which
 //     union-find cannot undo; the change is queued and a recompute over
-//     the current snapshot runs lazily on the next query (the same
+//     the store's current edges runs lazily on the next query (the same
 //     "inductive preprocessing" trade §5 makes for vertex overflow).
 // Components are identified by their minimum vertex id, matching
 // CcProgram over the symmetrised snapshot (tested).

@@ -23,8 +23,7 @@ void canonicalize(std::vector<Edge>& edges, VertexId num_vertices,
     if (e.src >= num_vertices || e.dst >= num_vertices) return true;
     return !allow_self_loops && e.src == e.dst;
   });
-  std::sort(edges.begin(), edges.end());
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  sort_unique_edges(edges, num_vertices);
 }
 
 Edge rmat_edge(VertexId scale_pow2, const RmatParams& p, Rng& rng) {

@@ -120,6 +120,28 @@ std::shared_ptr<const EdgeColumns> Graph::edge_columns_shared() const {
   return memo->columns;
 }
 
+void sort_unique_edges(std::vector<Edge>& edges, VertexId num_vertices) {
+  // LSD radix order: a stable pass on the minor key, then on the major.
+  // Each pass checks its key before indexing by it.
+  std::vector<Edge> scratch(edges.size());
+  std::vector<std::uint64_t> offsets(std::size_t{num_vertices} + 1);
+  auto counting_pass = [&](const std::vector<Edge>& in, std::vector<Edge>& out,
+                           VertexId Edge::*key) {
+    std::fill(offsets.begin(), offsets.end(), 0);
+    for (const Edge& e : in) {
+      HYVE_CHECK_MSG(e.*key < num_vertices,
+                     "edge " << e.src << "->" << e.dst
+                             << " out of range for V=" << num_vertices);
+      ++offsets[e.*key + 1];
+    }
+    std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+    for (const Edge& e : in) out[offsets[e.*key]++] = e;
+  };
+  counting_pass(edges, scratch, &Edge::dst);
+  counting_pass(scratch, edges, &Edge::src);
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+}
+
 Csr Csr::from_graph(const Graph& g) {
   Csr csr;
   csr.row_offsets.assign(g.num_vertices() + 1, 0);

@@ -88,6 +88,11 @@ class Graph {
   mutable std::shared_ptr<RemapMemo> remap_memo_;
 };
 
+// Sorts edges by (src, dst) and drops duplicates, in O(V + E): two
+// stable counting-sort passes (by dst, then by src) and std::unique.
+// Every endpoint must be < num_vertices.
+void sort_unique_edges(std::vector<Edge>& edges, VertexId num_vertices);
+
 // Compressed sparse row view (by source vertex), built on demand.
 struct Csr {
   std::vector<std::uint64_t> row_offsets;  // size V+1

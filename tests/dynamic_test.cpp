@@ -1,13 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <ranges>
 #include <set>
+#include <unordered_map>
 
 #include "dynamic/dynamic_graph.hpp"
 #include "dynamic/requests.hpp"
 #include "graph/generators.hpp"
+#include "util/rng.hpp"
 
 namespace hyve {
 namespace {
@@ -142,6 +145,162 @@ TEST(DynamicGraph, HashedDirectoryBehavesIdentically) {
   }
   EXPECT_EQ(a.num_edges(), b.num_edges());
   EXPECT_EQ(edge_multiset(a.snapshot()), edge_multiset(b.snapshot()));
+}
+
+// Reference model of the store's slot semantics: one edge vector per
+// block, every slot stamped when an edge is placed in it. A delete frees
+// the newest slot holding the edge by swap-with-last, and the moved edge
+// counts as newly placed. Blocks are laid out exactly as the store lays
+// them out (uniform map over the slack vertex capacity), and kept in a
+// std::unordered_map touched in the store's order, so the hashed
+// directory iterates identically; the dense one iterates by block key.
+class StoreModel {
+ public:
+  StoreModel(const Graph& initial, DynamicGraphOptions options)
+      : options_(options), num_vertices_(initial.num_vertices()) {
+    place(initial.num_vertices(), initial.edges());
+  }
+
+  bool add_edge(Edge e) {
+    if (e.src >= num_vertices_ || e.dst >= num_vertices_) return false;
+    Block& b = blocks_[key(e)];
+    b.edges.push_back(e);
+    b.stamps.push_back(++clock_);
+    return true;
+  }
+
+  bool delete_edge(Edge e) {
+    if (e.src >= num_vertices_ || e.dst >= num_vertices_) return false;
+    const auto it = blocks_.find(key(e));
+    if (it == blocks_.end()) return false;
+    Block& b = it->second;
+    std::size_t newest = b.edges.size();
+    for (std::size_t i = 0; i < b.edges.size(); ++i)
+      if (b.edges[i] == e &&
+          (newest == b.edges.size() || b.stamps[i] > b.stamps[newest]))
+        newest = i;
+    if (newest == b.edges.size()) return false;
+    b.edges[newest] = b.edges.back();
+    b.stamps[newest] = ++clock_;
+    b.edges.pop_back();
+    b.stamps.pop_back();
+    return true;
+  }
+
+  void add_vertex() {
+    if (num_vertices_ + 1 > capacity_) {
+      const std::vector<Edge> edges = snapshot_edges();
+      place(num_vertices_ + 1, edges);
+    }
+    ++num_vertices_;
+  }
+
+  std::vector<Edge> snapshot_edges() const {
+    std::vector<const std::pair<const std::uint64_t, Block>*> order;
+    for (const auto& entry : blocks_) order.push_back(&entry);
+    if (!options_.hashed_block_directory)
+      std::sort(order.begin(), order.end(),
+                [](auto* a, auto* b) { return a->first < b->first; });
+    std::vector<Edge> edges;
+    for (const auto* entry : order)
+      edges.insert(edges.end(), entry->second.edges.begin(),
+                   entry->second.edges.end());
+    return edges;
+  }
+
+ private:
+  struct Block {
+    std::vector<Edge> edges;
+    std::vector<std::uint64_t> stamps;
+  };
+
+  // Fresh placement, as the store's constructor and re-preprocessing do.
+  void place(VertexId num_vertices, const std::vector<Edge>& edges) {
+    capacity_ = static_cast<VertexId>(
+                    std::ceil(num_vertices * (1.0 + options_.slack))) +
+                1;
+    map_ = VertexMap::uniform(capacity_, options_.num_intervals);
+    blocks_ = decltype(blocks_){};  // a fresh map, as a fresh store has
+    for (const Edge& e : edges) {
+      Block& b = blocks_[key(e)];
+      b.edges.push_back(e);
+      b.stamps.push_back(++clock_);
+    }
+  }
+
+  std::uint64_t key(Edge e) const {
+    return static_cast<std::uint64_t>(map_.interval_of(e.src)) *
+               options_.num_intervals +
+           map_.interval_of(e.dst);
+  }
+
+  DynamicGraphOptions options_;
+  VertexId num_vertices_;
+  VertexId capacity_ = 0;
+  VertexMap map_;
+  std::unordered_map<std::uint64_t, Block> blocks_;
+  std::uint64_t clock_ = 0;
+};
+
+// Drives the store and the model with a duplicate-heavy stream (edges
+// drawn from an 8x8 corner, so every block holds many copies of a few
+// edges) that grows the locator far past its initial reservation and
+// exhausts the vertex slack, and compares the snapshot() sequence —
+// order included — after every chunk of requests.
+void expect_snapshot_sequence_matches_model(DynamicGraphOptions options) {
+  Rng rng(0x5EC0 + options.num_intervals);
+  std::vector<Edge> initial;
+  for (int i = 0; i < 40; ++i)
+    initial.push_back({static_cast<VertexId>(rng.next_below(8)),
+                       static_cast<VertexId>(rng.next_below(64))});
+  const Graph g(64, initial);
+  DynamicGraphStore store(g, options);
+  StoreModel model(g, options);
+  std::vector<Edge> added(initial);
+  std::uint64_t peak_edges = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const double r = rng.next_double();
+    const VertexId n = store.num_vertices();
+    if (r < 0.48) {
+      const VertexId range = rng.next_bool(0.9) ? 8 : n;
+      const Edge e{static_cast<VertexId>(rng.next_below(range)),
+                   static_cast<VertexId>(rng.next_below(range))};
+      ASSERT_EQ(store.add_edge(e), model.add_edge(e));
+      added.push_back(e);
+    } else if (r < 0.90) {
+      const Edge e = added[rng.next_below(added.size())];
+      ASSERT_EQ(store.delete_edge(e), model.delete_edge(e)) << "request " << i;
+    } else if (r < 0.97) {
+      store.add_vertex();
+      model.add_vertex();
+    } else {
+      store.delete_vertex(static_cast<VertexId>(rng.next_below(n)));
+    }
+    peak_edges = std::max(peak_edges, store.num_edges());
+    if (i % 500 == 0) {
+      const Graph snap = store.snapshot();
+      ASSERT_EQ(snap.edges(), model.snapshot_edges()) << "request " << i;
+    }
+  }
+  const Graph snap = store.snapshot();
+  EXPECT_EQ(snap.num_vertices(), store.num_vertices());
+  EXPECT_EQ(snap.edges(), model.snapshot_edges());
+  EXPECT_GT(store.preprocess_count(), 0u);  // vertex-slack rebuilds ran
+  EXPECT_GT(peak_edges, 4 * initial.size());  // locator grew
+}
+
+TEST(DynamicGraph, SnapshotSequenceMatchesSlotModelDense) {
+  DynamicGraphOptions options = hyve_options(4);
+  options.slack = 0.1;
+  expect_snapshot_sequence_matches_model(options);
+}
+
+TEST(DynamicGraph, SnapshotSequenceMatchesSlotModelHashed) {
+  DynamicGraphOptions options;
+  options.num_intervals = 16;  // a fine grid behind the hash directory
+  options.hashed_block_directory = true;
+  options.slack = 0.1;
+  expect_snapshot_sequence_matches_model(options);
 }
 
 // ---------- request streams ----------

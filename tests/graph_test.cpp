@@ -7,6 +7,7 @@
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace hyve {
 namespace {
@@ -146,6 +147,69 @@ TEST(Csr, RandomGraphRoundTrip) {
   std::sort(original.begin(), original.end());
   std::sort(rebuilt.begin(), rebuilt.end());
   EXPECT_EQ(original, rebuilt);
+}
+
+// ---------- sort_unique_edges ----------
+
+std::vector<Edge> comparison_sort_unique(std::vector<Edge> edges) {
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  return edges;
+}
+
+std::vector<Edge> random_edges(VertexId num_vertices, std::size_t count,
+                               std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Edge> edges(count);
+  for (Edge& e : edges)
+    e = {static_cast<VertexId>(rng.next_below(num_vertices)),
+         static_cast<VertexId>(rng.next_below(num_vertices))};
+  return edges;
+}
+
+void expect_matches_comparison_sort(std::vector<Edge> edges,
+                                    VertexId num_vertices) {
+  const std::vector<Edge> expected = comparison_sort_unique(edges);
+  sort_unique_edges(edges, num_vertices);
+  EXPECT_EQ(edges, expected);
+}
+
+TEST(SortUniqueEdges, MatchesComparisonSortOnRandomEdges) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed)
+    expect_matches_comparison_sort(random_edges(1000, 20000, seed), 1000);
+}
+
+TEST(SortUniqueEdges, MatchesComparisonSortOnDuplicateHeavyEdges) {
+  // 5000 edges over 16 distinct pairs; the vertex count leaves most
+  // counting buckets empty.
+  std::vector<Edge> edges = random_edges(4, 5000, 7);
+  for (Edge& e : edges) e.dst += 300;
+  expect_matches_comparison_sort(edges, 304);
+}
+
+TEST(SortUniqueEdges, KeepsSelfLoops) {
+  expect_matches_comparison_sort({{3, 3}, {0, 0}, {3, 3}, {1, 0}, {0, 0}}, 4);
+}
+
+TEST(SortUniqueEdges, EmptyAndSingleVertexInputs) {
+  expect_matches_comparison_sort({}, 0);
+  expect_matches_comparison_sort({}, 5);
+  expect_matches_comparison_sort({{0, 0}, {0, 0}, {0, 0}}, 1);
+}
+
+TEST(SortUniqueEdges, EdgesAtTheLastVertexId) {
+  constexpr VertexId kV = 1u << 16;
+  std::vector<Edge> edges = random_edges(kV, 3000, 11);
+  edges.insert(edges.end(), {{kV - 1, kV - 1}, {kV - 1, 0}, {0, kV - 1},
+                             {kV - 1, 0}, {kV - 1, kV - 2}});
+  expect_matches_comparison_sort(edges, kV);
+}
+
+TEST(SortUniqueEdges, RejectsOutOfRangeEndpoints) {
+  std::vector<Edge> bad_dst{{0, 1}, {1, 4}};
+  EXPECT_THROW(sort_unique_edges(bad_dst, 4), InvariantError);
+  std::vector<Edge> bad_src{{0, 1}, {4, 1}};
+  EXPECT_THROW(sort_unique_edges(bad_src, 4), InvariantError);
 }
 
 // ---------- paper example ----------
